@@ -787,14 +787,6 @@ RunReport Testbed::build_run_report(const std::string& name) {
   if (sim_.profiling_enabled()) {
     report.has_kernel = true;
     report.kernel = sim_.profile();
-    const KernelAllocCounters now = kernel_alloc_counters();
-    const KernelAllocCounters& base = report.kernel.alloc_at_enable;
-    report.alloc_deltas.heap_allocs = now.heap_allocs - base.heap_allocs;
-    report.alloc_deltas.heap_frees = now.heap_frees - base.heap_frees;
-    report.alloc_deltas.pool_hits = now.pool_hits - base.pool_hits;
-    report.alloc_deltas.chunk_carves = now.chunk_carves - base.chunk_carves;
-    report.alloc_deltas.container_growths =
-        now.container_growths - base.container_growths;
   }
 
   // Mirror every component's cumulative stats into named counters so the

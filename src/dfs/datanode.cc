@@ -24,13 +24,49 @@ void DataNode::set_trace(TraceRecorder* trace, bool emit_tier_events) {
   tiers_.set_trace(trace, id_, emit_tier_events);
 }
 
+namespace {
+
+/// Orders replica-table entries against a block id (lower_bound).
+constexpr auto kBelowBlock = [](const auto& replica, BlockId id) {
+  return replica.block < id;
+};
+
+}  // namespace
+
+const DataNode::Replica* DataNode::find(BlockId block) const {
+  const auto it =
+      std::lower_bound(replicas_.begin(), replicas_.end(), block, kBelowBlock);
+  return it != replicas_.end() && it->block == block ? &*it : nullptr;
+}
+
+DataNode::Replica* DataNode::find(BlockId block) {
+  return const_cast<Replica*>(std::as_const(*this).find(block));
+}
+
+const DataNode::Replica& DataNode::replica(BlockId block) const {
+  const Replica* r = find(block);
+  IGNEM_CHECK_MSG(r != nullptr, "block " << block.value() << " not on node "
+                                         << id_.value());
+  return *r;
+}
+
 void DataNode::add_block(BlockId block, Bytes size) {
   IGNEM_CHECK(block.valid());
   IGNEM_CHECK(size > 0);
-  blocks_[block] = size;
   // The write path creates the replica's checksum; a re-written replica
   // (repair over an old copy) is clean again.
-  checksums_[block] = expected_checksum(block, size);
+  const Replica fresh{block, size, expected_checksum(block, size)};
+  if (replicas_.empty() || replicas_.back().block < block) {
+    replicas_.push_back(fresh);
+  } else {
+    const auto it = std::lower_bound(replicas_.begin(), replicas_.end(),
+                                     block, kBelowBlock);
+    if (it->block == block) {
+      *it = fresh;
+    } else {
+      replicas_.insert(it, fresh);
+    }
+  }
   if (trace_ != nullptr) {
     trace_->emit(TraceEventType::kReplicaAdd, id_, block, JobId::invalid(),
                  size);
@@ -53,24 +89,20 @@ std::uint64_t DataNode::expected_checksum(BlockId block, Bytes size) {
 }
 
 std::uint64_t DataNode::stored_checksum(BlockId block) const {
-  const auto it = checksums_.find(block);
-  IGNEM_CHECK_MSG(it != checksums_.end(), "block " << block.value()
-                                                   << " not on node "
-                                                   << id_.value());
-  return it->second;
+  return replica(block).checksum;
 }
 
-Bytes DataNode::block_size(BlockId block) const {
-  const auto it = blocks_.find(block);
-  IGNEM_CHECK_MSG(it != blocks_.end(), "block " << block.value()
-                                                << " not on node "
-                                                << id_.value());
-  return it->second;
+Bytes DataNode::block_size(BlockId block) const { return replica(block).size; }
+
+bool DataNode::is_corrupt(BlockId block) const {
+  const Replica* r = find(block);
+  return r != nullptr && r->checksum != expected_checksum(block, r->size);
 }
 
 void DataNode::remove_block(BlockId block) {
-  blocks_.erase(block);
-  checksums_.erase(block);
+  if (const Replica* r = find(block)) {
+    replicas_.erase(replicas_.begin() + (r - replicas_.data()));
+  }
   // A disk read of a deleted replica can no longer finish; a read of a
   // still-promoted copy is unaffected.
   abort_pending_reads(&primary_device(), block);
@@ -80,14 +112,13 @@ void DataNode::remove_block(BlockId block) {
 }
 
 void DataNode::corrupt_block(BlockId block) {
-  IGNEM_CHECK_MSG(blocks_.contains(block), "corrupting block "
-                                               << block.value()
-                                               << " not stored on node "
-                                               << id_.value());
+  Replica* r = find(block);
+  IGNEM_CHECK_MSG(r != nullptr, "corrupting block " << block.value()
+                                                    << " not stored on node "
+                                                    << id_.value());
   // Rot damages the stored data; its checksum stops matching the expected
   // one. Assigning (not XOR-ing in place) keeps a twice-corrupted copy bad.
-  checksums_[block] = expected_checksum(block, blocks_.at(block)) ^
-                      0xDEADBEEFDEADBEEFULL;
+  r->checksum = expected_checksum(block, r->size) ^ 0xDEADBEEFDEADBEEFULL;
 }
 
 void DataNode::corrupt_cached_copy(BlockId block) {
@@ -98,19 +129,16 @@ void DataNode::corrupt_cached_copy(BlockId block) {
 
 std::vector<BlockId> DataNode::blocks_sorted() const {
   std::vector<BlockId> blocks;
-  blocks.reserve(blocks_.size());
-  for (const auto& [block, size] : blocks_) blocks.push_back(block);
-  std::sort(blocks.begin(), blocks.end());
+  blocks.reserve(replicas_.size());
+  for (const Replica& r : replicas_) blocks.push_back(r.block);
   return blocks;
 }
 
 BlockId DataNode::next_block_after(BlockId cursor) const {
-  BlockId best = BlockId::invalid();
-  for (const auto& [block, size] : blocks_) {
-    if (block.value() <= cursor.value()) continue;
-    if (!best.valid() || block.value() < best.value()) best = block;
-  }
-  return best;
+  const auto it = std::upper_bound(
+      replicas_.begin(), replicas_.end(), cursor,
+      [](BlockId id, const Replica& r) { return id < r.block; });
+  return it == replicas_.end() ? BlockId::invalid() : it->block;
 }
 
 void DataNode::report_corruption(BlockId block, bool cached,

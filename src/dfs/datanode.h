@@ -79,10 +79,10 @@ class DataNode {
   /// Registers a block as stored on this node (metadata only: experiment
   /// inputs are generated before the measured run, as in the paper).
   void add_block(BlockId block, Bytes size);
-  bool has_block(BlockId block) const { return blocks_.contains(block); }
+  bool has_block(BlockId block) const { return find(block) != nullptr; }
 
   /// Stored replicas on this node (the scrubber's per-node universe).
-  std::size_t block_count() const { return blocks_.size(); }
+  std::size_t block_count() const { return replicas_.size(); }
   Bytes block_size(BlockId block) const;
 
   /// Drops an invalidated replica from the node (NameNode decided the copy
@@ -104,11 +104,9 @@ class DataNode {
   /// next verification pass (read, scrub, migration verify) mismatches.
   /// The damage survives process restarts — rot lives on the platter.
   void corrupt_block(BlockId block);
-  bool is_corrupt(BlockId block) const {
-    const auto it = checksums_.find(block);
-    return it != checksums_.end() &&
-           it->second != expected_checksum(block, blocks_.at(block));
-  }
+  /// True when the stored replica's checksum mismatches (false when the
+  /// node holds no replica of `block`).
+  bool is_corrupt(BlockId block) const;
   /// Corrupts the promoted in-memory/tier copy instead (the home replica
   /// stays good). Delegates to the serving pool, so eviction discards the
   /// mark.
@@ -116,7 +114,7 @@ class DataNode {
 
   /// Stored block ids in ascending order, and the smallest id strictly
   /// greater than `cursor` (invalid when none) — the scrubber's
-  /// deterministic scan order over the unordered block map.
+  /// deterministic scan order over the replica table.
   std::vector<BlockId> blocks_sorted() const;
   BlockId next_block_after(BlockId cursor) const;
 
@@ -238,16 +236,29 @@ class DataNode {
   /// burst, returning the fast-tier reservation when it lands.
   void drain_to_home(Bytes bytes);
 
+  /// One stored replica. The checksum is written when the block lands on
+  /// the node (the write path creates it; rot only damages it); the
+  /// replica is corrupt when it no longer matches the expected one.
+  struct Replica {
+    BlockId block;
+    Bytes size;
+    std::uint64_t checksum;
+  };
+  /// The table entry for `block`, or null when the node holds none.
+  const Replica* find(BlockId block) const;
+  Replica* find(BlockId block);
+  /// find(), failing loudly when the replica is absent.
+  const Replica& replica(BlockId block) const;
+
   Simulator& sim_;
   TraceRecorder* trace_ = nullptr;
   NodeId id_;
   TierHierarchy tiers_;
   const MigrationPolicy* policy_ = nullptr;
-  std::unordered_map<BlockId, Bytes> blocks_;
-  // Per-replica checksums, written when the block lands on the node (the
-  // write path creates them; rot only damages them). A replica is corrupt
-  // when its stored checksum no longer matches the expected one.
-  std::unordered_map<BlockId, std::uint64_t> checksums_;
+  // Stored replicas, ascending by block id. Files are created with
+  // ascending block ids, so setup only appends; a repair copy of an older
+  // block inserts in place.
+  std::vector<Replica> replicas_;
   /// Last touch time of victim-tier copies (DownwardOnCold ageing).
   std::unordered_map<BlockId, SimTime> victim_touch_;
   bool alive_ = true;

@@ -14,6 +14,7 @@ NameNode::NameNode(Rng rng, int replication, Bytes block_size, int rack_count)
   IGNEM_CHECK(replication >= 1);
   IGNEM_CHECK(block_size > 0);
   IGNEM_CHECK(rack_count >= 1);
+  rack_live_.resize(static_cast<std::size_t>(rack_count));
 }
 
 int NameNode::rack_of(NodeId node) const {
@@ -27,6 +28,11 @@ void NameNode::register_datanode(DataNode* node) {
                   "DataNodes must register in NodeId order");
   nodes_.push_back(node);
   last_heartbeat_.push_back(SimTime::zero());
+  alive_.push_back(1);
+  // Registration is in id order, so appending keeps the index ascending.
+  live_.push_back(node->id());
+  rack_live_[static_cast<std::size_t>(rack_of(node->id()))].push_back(
+      node->id());
 }
 
 void NameNode::record_heartbeat(NodeId id, SimTime now) {
@@ -38,57 +44,106 @@ void NameNode::record_heartbeat(NodeId id, SimTime now) {
 std::vector<NodeId> NameNode::expired_nodes(SimTime now) const {
   std::vector<NodeId> out;
   for (std::size_t i = 0; i < last_heartbeat_.size(); ++i) {
-    const NodeId id(static_cast<std::int64_t>(i));
-    if (dead_nodes_.contains(id)) continue;
-    if (now - last_heartbeat_[i] > liveness_timeout_) out.push_back(id);
+    if (alive_[i] == 0) continue;
+    if (now - last_heartbeat_[i] > liveness_timeout_) {
+      out.push_back(NodeId(static_cast<std::int64_t>(i)));
+    }
   }
   return out;
 }
 
-std::vector<NodeId> NameNode::place_replicas(std::size_t count) {
-  std::vector<NodeId> live = live_nodes();
-  IGNEM_CHECK_MSG(!live.empty(), "no live DataNodes");
-  count = std::min(count, live.size());
+namespace {
 
-  auto pick_where = [&](std::vector<NodeId>& pool, auto&& pred) -> NodeId {
-    std::vector<std::size_t> eligible;
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (pred(pool[i])) eligible.push_back(i);
+/// The `k`-th node (0-based) of ascending `pool` that is not in `skip`.
+/// The answer is pool[k + s], s being the number of skipped pool positions
+/// at or below it: iterate k + s to its least fixed point, which is never
+/// itself a skipped position. `skip` holds the few already-chosen replicas.
+NodeId nth_skipping(const std::vector<NodeId>& pool, std::size_t k,
+                    const std::vector<NodeId>& skip) {
+  std::size_t idx = k;
+  for (;;) {
+    std::size_t skipped = 0;
+    for (const NodeId node : skip) {
+      const auto it = std::lower_bound(pool.begin(), pool.end(), node);
+      if (it != pool.end() && *it == node &&
+          static_cast<std::size_t>(it - pool.begin()) <= idx) {
+        ++skipped;
+      }
     }
-    if (eligible.empty()) return NodeId::invalid();
-    const std::size_t idx = eligible[static_cast<std::size_t>(rng_.uniform_int(
-        0, static_cast<std::int64_t>(eligible.size()) - 1))];
-    const NodeId node = pool[idx];
-    pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(idx));
-    return node;
+    if (k + skipped == idx) return pool[idx];
+    idx = k + skipped;
+  }
+}
+
+/// The `k`-th node (0-based) of ascending `live` that is not in its
+/// ascending subset `on_rack`. The answer is live[k + j], j being the
+/// number of on_rack nodes below it: the first j with on_rack[j] >
+/// live[k + j], found by one binary search.
+NodeId nth_off_rack(const std::vector<NodeId>& live,
+                    const std::vector<NodeId>& on_rack, std::size_t k) {
+  std::size_t lo = 0;
+  std::size_t hi = on_rack.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (on_rack[mid] <= live[k + mid]) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return live[k + lo];
+}
+
+}  // namespace
+
+std::vector<NodeId> NameNode::place_replicas(std::size_t count) {
+  // Each step's candidates are the not-yet-chosen live nodes in ascending
+  // id order, filtered by the step's rack rule. The step draws one index
+  // below the candidate count — or draws nothing when no candidate exists
+  // — and maps it to a node through the index, never materialising the
+  // list. The candidate lists and draws are exactly those of a scan over
+  // live_nodes(), so placements (and every later RNG draw) do not depend
+  // on how they are computed; tests/namenode_test.cc holds that scan as
+  // the differential oracle.
+  IGNEM_CHECK_MSG(!live_.empty(), "no live DataNodes");
+  count = std::min(count, live_.size());
+  std::vector<NodeId> chosen;
+  chosen.reserve(count);
+  const auto draw = [this](std::size_t eligible) {
+    return static_cast<std::size_t>(
+        rng_.uniform_int(0, static_cast<std::int64_t>(eligible) - 1));
+  };
+  const auto pick_any = [&] {
+    return nth_skipping(live_, draw(live_.size() - chosen.size()), chosen);
   };
 
-  std::vector<NodeId> chosen;
   // First replica: uniform over live nodes.
-  chosen.push_back(pick_where(live, [](NodeId) { return true; }));
-  // Second replica: off the first one's rack (HDFS default), when racks
-  // exist and another rack has a live node.
+  chosen.push_back(pick_any());
+  // Second replica: off the first one's rack (HDFS default), when another
+  // rack has a live node; else anywhere.
   if (chosen.size() < count) {
-    const int first_rack = rack_of(chosen[0]);
-    NodeId second = pick_where(
-        live, [&](NodeId n) { return rack_of(n) != first_rack; });
-    if (!second.valid()) second = pick_where(live, [](NodeId) { return true; });
-    if (second.valid()) chosen.push_back(second);
+    const std::vector<NodeId>& first_rack =
+        rack_live_[static_cast<std::size_t>(rack_of(chosen[0]))];
+    const std::size_t off_rack = live_.size() - first_rack.size();
+    chosen.push_back(off_rack > 0
+                         ? nth_off_rack(live_, first_rack, draw(off_rack))
+                         : pick_any());
   }
   // Third replica: same rack as the second (HDFS default), else anywhere.
-  if (chosen.size() < count && chosen.size() >= 2) {
+  if (chosen.size() < count) {
     const int second_rack = rack_of(chosen[1]);
-    NodeId third = pick_where(
-        live, [&](NodeId n) { return rack_of(n) == second_rack; });
-    if (!third.valid()) third = pick_where(live, [](NodeId) { return true; });
-    if (third.valid()) chosen.push_back(third);
+    const std::vector<NodeId>& pool =
+        rack_live_[static_cast<std::size_t>(second_rack)];
+    const std::size_t taken = static_cast<std::size_t>(
+        std::count_if(chosen.begin(), chosen.end(), [&](NodeId n) {
+          return rack_of(n) == second_rack;
+        }));
+    const std::size_t on_rack = pool.size() - taken;
+    chosen.push_back(on_rack > 0 ? nth_skipping(pool, draw(on_rack), chosen)
+                                 : pick_any());
   }
   // Replication factors beyond 3: uniform over the remainder.
-  while (chosen.size() < count) {
-    const NodeId extra = pick_where(live, [](NodeId) { return true; });
-    if (!extra.valid()) break;
-    chosen.push_back(extra);
-  }
+  while (chosen.size() < count) chosen.push_back(pick_any());
   return chosen;
 }
 
@@ -145,7 +200,7 @@ std::vector<NodeId> NameNode::live_locations(BlockId id) const {
   std::vector<NodeId> out;
   const auto corrupt = corrupt_.find(id);
   for (const NodeId node : block(id).replicas) {
-    if (dead_nodes_.contains(node)) continue;
+    if (alive_[static_cast<std::size_t>(node.value())] == 0) continue;
     if (corrupt != corrupt_.end() && corrupt->second.contains(node)) continue;
     out.push_back(node);
   }
@@ -207,22 +262,23 @@ DataNode* NameNode::datanode(NodeId id) const {
   return nodes_[static_cast<std::size_t>(id.value())];
 }
 
-std::vector<NodeId> NameNode::live_nodes() const {
-  std::vector<NodeId> out;
-  out.reserve(nodes_.size());
-  for (const DataNode* node : nodes_) {
-    if (!dead_nodes_.contains(node->id())) out.push_back(node->id());
-  }
-  return out;
-}
-
 void NameNode::set_node_alive(NodeId id, bool alive) {
   IGNEM_CHECK(id.valid() &&
               static_cast<std::size_t>(id.value()) < nodes_.size());
-  if (alive) {
-    dead_nodes_.erase(id);
-  } else {
-    dead_nodes_.insert(id);
+  char& flag = alive_[static_cast<std::size_t>(id.value())];
+  if ((flag != 0) != alive) {
+    flag = alive ? 1 : 0;
+    // Liveness flips are rare next to placements: keep the index sorted
+    // here so placement never rebuilds it.
+    for (std::vector<NodeId>* index :
+         {&live_, &rack_live_[static_cast<std::size_t>(rack_of(id))]}) {
+      const auto pos = std::lower_bound(index->begin(), index->end(), id);
+      if (alive) {
+        index->insert(pos, id);
+      } else {
+        index->erase(pos);
+      }
+    }
   }
   if (trace_ != nullptr) {
     trace_->emit(alive ? TraceEventType::kNodeAlive : TraceEventType::kNodeDead,
@@ -233,7 +289,7 @@ void NameNode::set_node_alive(NodeId id, bool alive) {
 void NameNode::add_replica(BlockId block, NodeId node) {
   const auto it = blocks_.find(block);
   IGNEM_CHECK_MSG(it != blocks_.end(), "unknown block " << block.value());
-  IGNEM_CHECK_MSG(!dead_nodes_.contains(node),
+  IGNEM_CHECK_MSG(is_node_alive(node),
                   "cannot place replica on dead node " << node.value());
   auto& replicas = it->second.replicas;
   IGNEM_CHECK_MSG(

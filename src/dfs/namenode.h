@@ -10,9 +10,9 @@
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/check.h"
 #include "common/ids.h"
 #include "common/rng.h"
 #include "common/units.h"
@@ -73,13 +73,20 @@ class NameNode {
   void invalidate_replica(BlockId block, NodeId node);
 
   DataNode* datanode(NodeId id) const;
-  std::vector<NodeId> live_nodes() const;
+  /// Live nodes in ascending id order. The index is maintained by
+  /// register_datanode/set_node_alive, so the reference is invalidated by
+  /// either; snapshot it before marking nodes dead in a loop.
+  const std::vector<NodeId>& live_nodes() const { return live_; }
   std::size_t node_count() const { return nodes_.size(); }
 
   /// Marks a whole server dead / alive again.
   void set_node_alive(NodeId id, bool alive);
 
-  bool is_node_alive(NodeId id) const { return !dead_nodes_.contains(id); }
+  bool is_node_alive(NodeId id) const {
+    IGNEM_CHECK(id.valid() &&
+                static_cast<std::size_t>(id.value()) < alive_.size());
+    return alive_[static_cast<std::size_t>(id.value())] != 0;
+  }
 
   /// Missed-heartbeat liveness (paper §III-A5 via HDFS semantics): the
   /// FailureDetector feeds DataNode heartbeats in and periodically asks
@@ -121,11 +128,18 @@ class NameNode {
   int rack_of(NodeId node) const;
   int rack_count() const { return rack_count_; }
 
+  /// The placement stream (the differential placement test compares its
+  /// next draw against a reference scan's).
+  const Rng& placement_rng() const { return rng_; }
+
   /// Emits kFileCreate and kNodeDead/kNodeAlive (replica adds are emitted
   /// node-side by the DataNodes).
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
 
  private:
+  /// HDFS default placement over the live-node index: O(replication ×
+  /// log N) per block, drawing from rng_ exactly as a scan over the
+  /// ascending live list would (see namenode.cc).
   std::vector<NodeId> place_replicas(std::size_t count);
 
   Rng rng_;
@@ -137,7 +151,11 @@ class NameNode {
   std::vector<DataNode*> nodes_;                  // index == NodeId value
   std::vector<SimTime> last_heartbeat_;           // index == NodeId value
   Duration liveness_timeout_ = Duration::seconds(12);
-  std::unordered_set<NodeId> dead_nodes_;
+  std::vector<char> alive_;                       // index == NodeId value
+  // The live-node index placement draws from: ascending ids overall and
+  // per rack (index == rack), kept in step with alive_.
+  std::vector<NodeId> live_;
+  std::vector<std::vector<NodeId>> rack_live_;
   std::unordered_map<FileId, FileInfo> files_;
   std::unordered_map<std::string, FileId> paths_;
   std::unordered_map<BlockId, BlockInfo> blocks_;

@@ -141,11 +141,12 @@ void RunReport::write_json(std::ostream& os) const {
       os << "    \"class." << event_class_name(static_cast<EventClass>(i))
          << "\": " << kernel.class_counts[i] << ",\n";
     }
-    os << "    \"alloc.heap_allocs\": " << alloc_deltas.heap_allocs << ",\n";
-    os << "    \"alloc.heap_frees\": " << alloc_deltas.heap_frees << ",\n";
-    os << "    \"alloc.pool_hits\": " << alloc_deltas.pool_hits << ",\n";
-    os << "    \"alloc.chunk_carves\": " << alloc_deltas.chunk_carves << ",\n";
-    os << "    \"alloc.container_growths\": " << alloc_deltas.container_growths
+    const KernelAllocCounters& alloc = kernel.alloc_deltas;
+    os << "    \"alloc.heap_allocs\": " << alloc.heap_allocs << ",\n";
+    os << "    \"alloc.heap_frees\": " << alloc.heap_frees << ",\n";
+    os << "    \"alloc.pool_hits\": " << alloc.pool_hits << ",\n";
+    os << "    \"alloc.chunk_carves\": " << alloc.chunk_carves << ",\n";
+    os << "    \"alloc.container_growths\": " << alloc.container_growths
        << "\n  },\n";
   }
 

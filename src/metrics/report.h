@@ -58,11 +58,10 @@ struct RunReport {
   std::string mode;  ///< run_mode_name(); empty for non-testbed runs.
   ConfigFingerprint fingerprint;
 
-  /// Kernel self-profile (present when the simulator ran with profiling).
+  /// Kernel self-profile (present when the simulator ran with profiling),
+  /// allocator-counter deltas included.
   bool has_kernel = false;
   KernelProfile kernel;
-  /// Allocator-counter deltas over the profiled window.
-  KernelAllocCounters alloc_deltas{};
 
   /// Headline numbers (job durations, hit fractions) in insertion order.
   std::vector<std::pair<std::string, double>> summary;

@@ -20,12 +20,7 @@ EventHandle Simulator::schedule_at(SimTime when, Action action,
 
 bool Simulator::cancel(EventHandle handle) { return queue_.cancel(handle); }
 
-void Simulator::enable_profiling(bool on) {
-  if (on && !profiling_) {
-    profile_.alloc_at_enable = kernel_alloc_counters();
-  }
-  profiling_ = on;
-}
+void Simulator::enable_profiling(bool on) { profiling_ = on; }
 
 std::uint64_t Simulator::run(SimTime until) {
   return run_until([] { return false; }, until);
@@ -34,6 +29,7 @@ std::uint64_t Simulator::run(SimTime until) {
 std::uint64_t Simulator::run_until(const std::function<bool()>& done,
                                    SimTime limit) {
   stop_requested_ = false;
+  const KernelAllocCounters alloc_start = kernel_alloc_counters();
   if (trace_ != nullptr) {
     trace_->emit(TraceEventType::kSimRunStart, NodeId::invalid(),
                  BlockId::invalid(), JobId::invalid(), 0,
@@ -60,6 +56,16 @@ std::uint64_t Simulator::run_until(const std::function<bool()>& done,
   }
   if (queue_.empty() && now_ < limit && limit != SimTime::max()) {
     now_ = limit;  // advance the clock to the requested horizon
+  }
+  if (profiling_) {
+    const KernelAllocCounters& end = kernel_alloc_counters();
+    KernelAllocCounters& d = profile_.alloc_deltas;
+    d.heap_allocs += end.heap_allocs - alloc_start.heap_allocs;
+    d.heap_frees += end.heap_frees - alloc_start.heap_frees;
+    d.pool_hits += end.pool_hits - alloc_start.pool_hits;
+    d.chunk_carves += end.chunk_carves - alloc_start.chunk_carves;
+    d.container_growths +=
+        end.container_growths - alloc_start.container_growths;
   }
   if (trace_ != nullptr) {
     trace_->emit(TraceEventType::kSimRunEnd, NodeId::invalid(),

@@ -31,9 +31,11 @@ struct KernelProfile {
   std::uint64_t pending_sum = 0;
   /// Dispatches by EventClass tag (index = static_cast<size_t>(cls)).
   std::array<std::uint64_t, kEventClassCount> class_counts{};
-  /// Thread-local allocator counters snapshotted when profiling was enabled;
-  /// subtract from kernel_alloc_counters() for the run's deltas.
-  KernelAllocCounters alloc_at_enable{};
+  /// Allocator-counter deltas over the profiled run() calls. Each call
+  /// snapshots the thread-local counters when it starts and adds the
+  /// difference when it returns, both on the dispatching thread — so the
+  /// deltas stay right when the profile is read from another thread.
+  KernelAllocCounters alloc_deltas{};
 
   double mean_pending() const {
     return events_dispatched == 0
@@ -92,7 +94,7 @@ class Simulator {
 
   /// Turns on per-dispatch self-profiling (class counts, queue depth,
   /// allocator deltas). Off by default: the unprofiled dispatch loop pays
-  /// one branch per event. Enabling snapshots the allocator counters.
+  /// one branch per event.
   void enable_profiling(bool on = true);
   bool profiling_enabled() const { return profiling_; }
   const KernelProfile& profile() const { return profile_; }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/check.h"
 #include "sim/simulator.h"
 
@@ -118,6 +120,71 @@ TEST_F(DataNodeTest, BlockSizeLookup) {
   node_.add_block(BlockId(2), 5 * kMiB);
   EXPECT_EQ(node_.block_size(BlockId(2)), 5 * kMiB);
   EXPECT_THROW(node_.block_size(BlockId(3)), CheckFailure);
+}
+
+// Replica table: one sorted entry per stored block (size + checksum).
+
+TEST_F(DataNodeTest, ReAddingAReplicaRewritesItClean) {
+  node_.add_block(BlockId(4), 64 * kMiB);
+  node_.corrupt_block(BlockId(4));
+  ASSERT_TRUE(node_.is_corrupt(BlockId(4)));
+  // A repair copy over the old replica is a fresh write: clean checksum,
+  // new size, still one entry.
+  node_.add_block(BlockId(4), 32 * kMiB);
+  EXPECT_FALSE(node_.is_corrupt(BlockId(4)));
+  EXPECT_EQ(node_.stored_checksum(BlockId(4)),
+            DataNode::expected_checksum(BlockId(4), 32 * kMiB));
+  EXPECT_EQ(node_.block_size(BlockId(4)), 32 * kMiB);
+  EXPECT_EQ(node_.block_count(), 1u);
+}
+
+TEST_F(DataNodeTest, RemoveBlockForgetsTheReplica) {
+  node_.add_block(BlockId(1), 64 * kMiB);
+  node_.add_block(BlockId(2), 64 * kMiB);
+  node_.add_block(BlockId(3), 8 * kMiB);
+  node_.remove_block(BlockId(2));
+  EXPECT_FALSE(node_.has_block(BlockId(2)));
+  EXPECT_THROW(node_.block_size(BlockId(2)), CheckFailure);
+  EXPECT_THROW(node_.stored_checksum(BlockId(2)), CheckFailure);
+  EXPECT_FALSE(node_.is_corrupt(BlockId(2)));
+  EXPECT_EQ(node_.block_count(), 2u);
+  EXPECT_EQ(node_.block_size(BlockId(3)), 8 * kMiB);
+  // Removing an absent replica is a no-op.
+  node_.remove_block(BlockId(2));
+  node_.remove_block(BlockId(9));
+  EXPECT_EQ(node_.blocks_sorted(),
+            (std::vector<BlockId>{BlockId(1), BlockId(3)}));
+}
+
+TEST_F(DataNodeTest, NextBlockAfterWalksAscendingThenWraps) {
+  // Out-of-order adds (a repair of an older block) still walk ascending.
+  node_.add_block(BlockId(3), kMiB);
+  node_.add_block(BlockId(7), kMiB);
+  node_.add_block(BlockId(5), kMiB);
+  EXPECT_EQ(node_.blocks_sorted(),
+            (std::vector<BlockId>{BlockId(3), BlockId(5), BlockId(7)}));
+  EXPECT_EQ(node_.next_block_after(BlockId::invalid()), BlockId(3));
+  EXPECT_EQ(node_.next_block_after(BlockId(3)), BlockId(5));
+  EXPECT_EQ(node_.next_block_after(BlockId(4)), BlockId(5));
+  EXPECT_EQ(node_.next_block_after(BlockId(5)), BlockId(7));
+  EXPECT_EQ(node_.next_block_after(BlockId(7)), BlockId::invalid());
+  EXPECT_EQ(node_.next_block_after(BlockId(100)), BlockId::invalid());
+}
+
+TEST_F(DataNodeTest, CorruptBlockMarksOnlyTheStoredCopy) {
+  node_.add_block(BlockId(1), 64 * kMiB);
+  node_.add_block(BlockId(2), 64 * kMiB);
+  ASSERT_TRUE(node_.cache().lock(BlockId(1), 64 * kMiB));
+  node_.corrupt_block(BlockId(1));
+  EXPECT_TRUE(node_.is_corrupt(BlockId(1)));
+  EXPECT_FALSE(node_.is_corrupt(BlockId(2)));
+  EXPECT_FALSE(node_.cache().is_corrupt(BlockId(1)));
+  EXPECT_NE(node_.stored_checksum(BlockId(1)),
+            DataNode::expected_checksum(BlockId(1), 64 * kMiB));
+  // A second hit keeps the copy bad; an absent block cannot rot.
+  node_.corrupt_block(BlockId(1));
+  EXPECT_TRUE(node_.is_corrupt(BlockId(1)));
+  EXPECT_THROW(node_.corrupt_block(BlockId(3)), CheckFailure);
 }
 
 }  // namespace

@@ -16,10 +16,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 
+#include "bench/sweep_runner.h"
 #include "common/check.h"
 #include "core/testbed.h"
 #include "metrics/instruments.h"
@@ -304,6 +306,42 @@ TEST(RunReportTest, ContainsKernelProfileSeriesAndFingerprint) {
         "\"ignem.cache_hit_ratio\"", "\"ignem.locked_bytes\"",
         "\"tier.occupancy.t0\"", "\"summary\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << "missing " << needle;
+  }
+}
+
+// Benches run testbeds on sweep-runner workers and build their reports on
+// the main thread. The allocator deltas must be taken on the dispatching
+// thread: differencing the main thread's thread-local counters against a
+// worker's base used to wrap to ~2^64 in REPORT_table1_swim.json.
+TEST(RunReportTest, AllocDeltasSurviveACrossThreadReport) {
+  // Two tasks on two workers, so neither testbed runs on this thread.
+  auto testbeds = bench::run_indexed_sweep(
+      2,
+      [](std::size_t i) {
+        auto testbed = std::make_unique<Testbed>(
+            small_config(i == 0 ? RunMode::kIgnem : RunMode::kHdfs));
+        testbed->run_workload(build_swim_workload(*testbed, small_swim()));
+        return testbed;
+      },
+      2);
+  for (const auto& testbed : testbeds) {
+    const RunReport report = testbed->build_run_report("cross_thread");
+    std::ostringstream os;
+    report.write_json(os);
+    std::istringstream lines(os.str());
+    int alloc_fields = 0;
+    for (std::string line; std::getline(lines, line);) {
+      const auto key = line.find("\"alloc.");
+      if (key == std::string::npos) continue;
+      ++alloc_fields;
+      const std::uint64_t value = std::strtoull(
+          line.c_str() + line.find(':', key) + 1, nullptr, 10);
+      EXPECT_LT(value, std::uint64_t{1} << 63) << line;
+    }
+    EXPECT_EQ(alloc_fields, 5);
+    // The deltas are live, not just small: the run's events came from
+    // the slab pool.
+    EXPECT_GT(report.kernel.alloc_deltas.pool_hits, 0u);
   }
 }
 
