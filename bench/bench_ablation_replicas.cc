@@ -24,16 +24,16 @@ Outcome run_with_replicas(int replicas) {
 
   Outcome out;
   out.mean_job_s = testbed.metrics().mean_job_duration_seconds();
+  // Mean over non-zero samples: the memory log keeps only those.
+  const auto& samples = testbed.metrics().memory_samples();
   double sum = 0;
-  std::size_t n = 0;
-  for (const auto& sample : testbed.metrics().memory_samples()) {
-    if (sample.locked_bytes > 0) {
-      sum += static_cast<double>(sample.locked_bytes);
-      ++n;
-    }
+  for (const auto& sample : samples) {
+    sum += static_cast<double>(sample.locked_bytes);
   }
-  out.memory_gib = n ? sum / static_cast<double>(n) / static_cast<double>(kGiB)
-                     : 0.0;
+  out.memory_gib =
+      samples.empty() ? 0.0
+                      : sum / static_cast<double>(samples.size()) /
+                            static_cast<double>(kGiB);
   Bytes migrated = 0;
   for (std::int64_t i = 0; i < 8; ++i) {
     migrated += testbed.ignem_slave(NodeId(i))->stats().bytes_migrated;

@@ -10,13 +10,12 @@
 namespace ignem::bench {
 namespace {
 
+// The memory log holds only non-zero samples (see MemorySample).
 Samples nonzero_memory_gib(const RunMetrics& metrics) {
   Samples out;
   for (const auto& sample : metrics.memory_samples()) {
-    if (sample.locked_bytes > 0) {
-      out.add(static_cast<double>(sample.locked_bytes) /
-              static_cast<double>(kGiB));
-    }
+    out.add(static_cast<double>(sample.locked_bytes) /
+            static_cast<double>(kGiB));
   }
   return out;
 }

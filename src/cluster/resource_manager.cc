@@ -1,14 +1,11 @@
 #include "cluster/resource_manager.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace ignem {
 
 ResourceManager::ResourceManager(Simulator& sim, ClusterConfig config)
-    : sim_(sim), config_(config) {
-  IGNEM_CHECK(config_.node_count > 0);
+    : sim_(sim), config_(config), queue_(config_.node_count) {
   nodes_.reserve(config_.node_count);
   heartbeats_.reserve(config_.node_count);
   last_beat_.resize(config_.node_count, SimTime::zero());
@@ -64,7 +61,7 @@ bool ResourceManager::is_job_running(JobId job) const {
 
 void ResourceManager::request_container(ContainerRequest request) {
   IGNEM_CHECK(request.on_allocated != nullptr);
-  queue_.push_back(QueuedRequest{std::move(request), sim_.now()});
+  queue_.push(std::move(request), sim_.now());
 }
 
 void ResourceManager::release_container(const ContainerGrant& grant) {
@@ -172,13 +169,6 @@ NodeManager& ResourceManager::node_manager(NodeId node) {
   return *nodes_[static_cast<std::size_t>(node.value())];
 }
 
-bool ResourceManager::prefers(const ContainerRequest& request,
-                              NodeId node) const {
-  if (request.preferred.empty()) return true;
-  return std::find(request.preferred.begin(), request.preferred.end(), node) !=
-         request.preferred.end();
-}
-
 void ResourceManager::on_heartbeat(NodeId node) {
   ++heartbeat_count_;
   queue_length_accum_ += queue_.size();
@@ -197,65 +187,41 @@ void ResourceManager::on_heartbeat(NodeId node) {
   }
   if (!manager.alive()) return;
 
-  // A node only takes its fair share of location-free requests per
-  // heartbeat, so e.g. a reduce wave spreads across the cluster instead of
-  // piling onto whichever node beats first (YARN's round-robin offers).
-  std::size_t unpreferred_budget = std::max<std::size_t>(
-      1, (queue_.size() + config_.node_count - 1) / config_.node_count);
-
-  // Two passes over the FIFO: first requests that prefer this node, then —
-  // delay scheduling — requests that have outwaited the locality delay.
-  for (const bool locality_pass : {true, false}) {
-    auto it = queue_.begin();
-    while (it != queue_.end() && manager.free_slots() > 0) {
-      const bool unpreferred = it->request.preferred.empty();
-      // The fair-share budget binds location-free requests in both passes;
-      // the delay-scheduling relaxation only waives *locality*, it is not a
-      // license for one node to drain the whole queue.
-      const bool budget_ok = !unpreferred || unpreferred_budget > 0;
-      const bool eligible =
-          locality_pass
-              ? prefers(it->request, node) && budget_ok
-              : sim_.now() - it->enqueued >= config_.locality_delay &&
-                    budget_ok;
-      if (!eligible) {
-        ++it;
-        continue;
-      }
-      if (unpreferred) --unpreferred_budget;
-      manager.allocate();
-      if (trace_ != nullptr) {
-        trace_->emit(TraceEventType::kContainerAllocate, node,
-                     BlockId::invalid(), it->request.job);
-      }
-      const ContainerGrant grant{next_container_++, node};
-      active_.emplace(grant.id, ActiveContainer{node, it->request.job,
-                                                std::move(it->request.on_lost)});
-      auto on_allocated = std::move(it->request.on_allocated);
-      it = queue_.erase(it);
-      // Container launch overhead (binary shipping + JVM warm-up) before the
-      // task code runs. If the node is declared dead before launch finishes
-      // the grant is purged and the callback never fires (on_lost already
-      // re-requested).
-      auto launch = [this, cb = std::move(on_allocated), grant]() {
-        sim_.schedule(config_.container_launch, [this, cb, grant] {
-          if (!active_.contains(grant.id)) return;
-          cb(grant);
-        });
-      };
-      if (router_ == nullptr) {
-        launch();
-      } else {
-        // Routed: the grant travels control node -> slave. When the RPC
-        // cannot land before the deadline (the slave's rack is cut off),
-        // the slot is reclaimed so the owner re-requests elsewhere instead
-        // of waiting on a container that will never start.
-        router_->call(router_->control_node(), grant.node, std::move(launch),
-                      [this, grant](RpcOutcome) { reclaim_grant(grant); });
-      }
+  // Delay scheduling picks the requests (see RequestQueue); each grant
+  // then takes a slot and launches its container.
+  queue_.take(node, manager.free_slots(), sim_.now(), config_.locality_delay,
+              granted_);
+  for (ContainerRequest& request : granted_) {
+    manager.allocate();
+    if (trace_ != nullptr) {
+      trace_->emit(TraceEventType::kContainerAllocate, node,
+                   BlockId::invalid(), request.job);
     }
-    if (manager.free_slots() == 0) break;
+    const ContainerGrant grant{next_container_++, node};
+    active_.emplace(grant.id, ActiveContainer{node, request.job,
+                                              std::move(request.on_lost)});
+    // Container launch overhead (binary shipping + JVM warm-up) before the
+    // task code runs. If the node is declared dead before launch finishes
+    // the grant is purged and the callback never fires (on_lost already
+    // re-requested).
+    auto launch = [this, cb = std::move(request.on_allocated), grant]() {
+      sim_.schedule(config_.container_launch, [this, cb, grant] {
+        if (!active_.contains(grant.id)) return;
+        cb(grant);
+      });
+    };
+    if (router_ == nullptr) {
+      launch();
+    } else {
+      // Routed: the grant travels control node -> slave. When the RPC
+      // cannot land before the deadline (the slave's rack is cut off),
+      // the slot is reclaimed so the owner re-requests elsewhere instead
+      // of waiting on a container that will never start.
+      router_->call(router_->control_node(), grant.node, std::move(launch),
+                    [this, grant](RpcOutcome) { reclaim_grant(grant); });
+    }
   }
+  granted_.clear();
 }
 
 double ResourceManager::mean_queue_length() const {

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -18,6 +17,7 @@
 
 #include "cluster/job_liveness.h"
 #include "cluster/node_manager.h"
+#include "cluster/request_queue.h"
 #include "common/ids.h"
 #include "common/units.h"
 #include "net/rpc.h"
@@ -45,23 +45,6 @@ struct ClusterConfig {
   /// same-microsecond event interleaving can differ, so this is opt-in
   /// under pinned traces (see PeriodicCohort).
   bool batch_heartbeats = false;
-};
-
-/// A granted container: the slot's node plus a unique id so a release after
-/// the node was declared dead (and its slots purged) is a safe no-op.
-struct ContainerGrant {
-  std::uint64_t id = 0;
-  NodeId node;
-};
-
-/// A request for one container, with locality preferences.
-struct ContainerRequest {
-  JobId job;
-  std::vector<NodeId> preferred;  ///< Empty means "anywhere".
-  std::function<void(const ContainerGrant&)> on_allocated;
-  /// Optional: fired when the container's node is declared dead before the
-  /// container was released — the owner should re-request elsewhere.
-  std::function<void()> on_lost;
 };
 
 class ResourceManager : public JobLivenessOracle {
@@ -125,7 +108,6 @@ class ResourceManager : public JobLivenessOracle {
   void reclaim_grant(const ContainerGrant& grant);
   void check_liveness();
   void declare_node_dead(NodeId node);
-  bool prefers(const ContainerRequest& request, NodeId node) const;
 
   Simulator& sim_;
   ClusterConfig config_;
@@ -139,11 +121,8 @@ class ResourceManager : public JobLivenessOracle {
   std::vector<PeriodicCohort::MemberId> heartbeat_members_;
   std::unique_ptr<PeriodicTask> liveness_monitor_;  // only when detection on
 
-  struct QueuedRequest {
-    ContainerRequest request;
-    SimTime enqueued;
-  };
-  std::deque<QueuedRequest> queue_;
+  RequestQueue queue_;
+  std::vector<ContainerRequest> granted_;  // one beat's grants (scratch)
   std::unordered_set<JobId> running_jobs_;
 
   struct ActiveContainer {

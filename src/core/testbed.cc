@@ -739,7 +739,8 @@ bool Testbed::run_workload_to(std::vector<ScheduledJob> jobs,
     job.spec.use_ignem = migration_on;
     const JobId id = next_job_id();
     auto runner = std::make_unique<JobRunner>(sim_, *rm_, *dfs_, *network_,
-                                              &metrics_, id, job.spec);
+                                              &metrics_, id,
+                                              std::move(job.spec));
     JobRunner* raw = runner.get();
     runners_.push_back(std::move(runner));
     sim_.schedule(job.arrival, [this, raw] {

@@ -62,6 +62,7 @@ void DataNode::add_block(BlockId block, Bytes size) {
     const auto it = std::lower_bound(replicas_.begin(), replicas_.end(),
                                      block, kBelowBlock);
     if (it->block == block) {
+      if (is_corrupt(*it)) --corrupt_count_;
       *it = fresh;
     } else {
       replicas_.insert(it, fresh);
@@ -94,13 +95,19 @@ std::uint64_t DataNode::stored_checksum(BlockId block) const {
 
 Bytes DataNode::block_size(BlockId block) const { return replica(block).size; }
 
+bool DataNode::is_corrupt(const Replica& r) {
+  return r.checksum != expected_checksum(r.block, r.size);
+}
+
 bool DataNode::is_corrupt(BlockId block) const {
+  if (corrupt_count_ == 0) return false;  // the common, rot-free case
   const Replica* r = find(block);
-  return r != nullptr && r->checksum != expected_checksum(block, r->size);
+  return r != nullptr && is_corrupt(*r);
 }
 
 void DataNode::remove_block(BlockId block) {
   if (const Replica* r = find(block)) {
+    if (is_corrupt(*r)) --corrupt_count_;
     replicas_.erase(replicas_.begin() + (r - replicas_.data()));
   }
   // A disk read of a deleted replica can no longer finish; a read of a
@@ -118,6 +125,7 @@ void DataNode::corrupt_block(BlockId block) {
                                                     << id_.value());
   // Rot damages the stored data; its checksum stops matching the expected
   // one. Assigning (not XOR-ing in place) keeps a twice-corrupted copy bad.
+  if (!is_corrupt(*r)) ++corrupt_count_;
   r->checksum = expected_checksum(block, r->size) ^ 0xDEADBEEFDEADBEEFULL;
 }
 

@@ -107,6 +107,8 @@ class DataNode {
   /// True when the stored replica's checksum mismatches (false when the
   /// node holds no replica of `block`).
   bool is_corrupt(BlockId block) const;
+  /// Stored replicas currently corrupt.
+  std::size_t corrupt_replica_count() const { return corrupt_count_; }
   /// Corrupts the promoted in-memory/tier copy instead (the home replica
   /// stays good). Delegates to the serving pool, so eviction discards the
   /// mark.
@@ -249,6 +251,7 @@ class DataNode {
   Replica* find(BlockId block);
   /// find(), failing loudly when the replica is absent.
   const Replica& replica(BlockId block) const;
+  static bool is_corrupt(const Replica& r);
 
   Simulator& sim_;
   TraceRecorder* trace_ = nullptr;
@@ -259,6 +262,9 @@ class DataNode {
   // ascending block ids, so setup only appends; a repair copy of an older
   // block inserts in place.
   std::vector<Replica> replicas_;
+  /// Stored replicas whose checksum mismatches; while 0, is_corrupt needs
+  /// no lookup.
+  std::size_t corrupt_count_ = 0;
   /// Last touch time of victim-tier copies (DownwardOnCold ageing).
   std::unordered_map<BlockId, SimTime> victim_touch_;
   bool alive_ = true;

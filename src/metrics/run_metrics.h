@@ -3,9 +3,11 @@
 // Every experiment drives the cluster with a RunMetrics sink attached;
 // benches aggregate these records into the paper's tables and figures.
 // Records are flat structs (no behaviour) so analysis code can slice them
-// freely.
+// freely. The per-read, per-task and memory logs grow with the run, so they
+// are deques: appending never copies what is already stored.
 #pragma once
 
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -56,6 +58,8 @@ struct JobRecord {
 };
 
 /// Periodic sample of one node's migration-memory footprint (paper Fig. 7).
+/// Only non-zero samples are stored: a (node, tick) with no sample held
+/// 0 bytes.
 struct MemorySample {
   NodeId node;
   SimTime when;
@@ -81,13 +85,16 @@ class RunMetrics {
   void add_block_read(const BlockReadRecord& r) { block_reads_.push_back(r); }
   void add_task(const TaskRecord& r) { tasks_.push_back(r); }
   void add_job(const JobRecord& r) { jobs_.push_back(r); }
-  void add_memory_sample(const MemorySample& s) { memory_samples_.push_back(s); }
+  /// Keeps `s` only when the node holds migration memory (see MemorySample).
+  void add_memory_sample(const MemorySample& s) {
+    if (s.locked_bytes > 0) memory_samples_.push_back(s);
+  }
   void add_tier_sample(const TierSample& s) { tier_samples_.push_back(s); }
 
-  const std::vector<BlockReadRecord>& block_reads() const { return block_reads_; }
-  const std::vector<TaskRecord>& tasks() const { return tasks_; }
+  const std::deque<BlockReadRecord>& block_reads() const { return block_reads_; }
+  const std::deque<TaskRecord>& tasks() const { return tasks_; }
   const std::vector<JobRecord>& jobs() const { return jobs_; }
-  const std::vector<MemorySample>& memory_samples() const { return memory_samples_; }
+  const std::deque<MemorySample>& memory_samples() const { return memory_samples_; }
   const std::vector<TierSample>& tier_samples() const { return tier_samples_; }
 
   /// Convenience aggregates used by many benches.
@@ -104,10 +111,10 @@ class RunMetrics {
   void clear();
 
  private:
-  std::vector<BlockReadRecord> block_reads_;
-  std::vector<TaskRecord> tasks_;
+  std::deque<BlockReadRecord> block_reads_;
+  std::deque<TaskRecord> tasks_;
   std::vector<JobRecord> jobs_;
-  std::vector<MemorySample> memory_samples_;
+  std::deque<MemorySample> memory_samples_;
   std::vector<TierSample> tier_samples_;
 };
 

@@ -78,7 +78,7 @@ class DownwardOnColdPolicy : public MigrationPolicy {
       : cold_after_(cold_after) {}
 
   const char* name() const override { return "downward-on-cold"; }
-  std::size_t demotion_target(const TierHierarchy& tiers,
+  std::size_t demotion_target(const TierHierarchy& /*tiers*/,
                               std::size_t from) const override {
     return from + 1;  // next tier down; home means drop
   }

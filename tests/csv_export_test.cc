@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <sstream>
+#include <string>
 
 namespace ignem {
 namespace {
@@ -99,6 +101,37 @@ TEST(CsvExport, MemorySamples) {
   const std::string out = os.str();
   EXPECT_EQ(line_count(out), 2u);
   EXPECT_NE(out.find("0,5,42"), std::string::npos);
+}
+
+// Fig. 7 reads only non-zero footprints, so the log keeps only those: at
+// 512 nodes most (node, tick) samples are zero.
+TEST(RunMetricsTest, MemoryLogKeepsOnlyNonZeroSamples) {
+  RunMetrics metrics;
+  const Bytes locked[] = {0, 7, 0, 0, 3, 9, 0};
+  for (std::size_t i = 0; i < std::size(locked); ++i) {
+    MemorySample sample;
+    sample.node = NodeId(static_cast<std::int64_t>(i % 3));
+    sample.when = SimTime(static_cast<std::int64_t>(i) * 1'000'000);
+    sample.locked_bytes = locked[i];
+    metrics.add_memory_sample(sample);
+  }
+  const auto& kept = metrics.memory_samples();
+  ASSERT_EQ(kept.size(), 3u);
+  EXPECT_EQ(kept[0].locked_bytes, 7);
+  EXPECT_EQ(kept[0].node, NodeId(1));
+  EXPECT_EQ(kept[0].when, SimTime(1'000'000));
+  EXPECT_EQ(kept[1].locked_bytes, 3);
+  EXPECT_EQ(kept[1].node, NodeId(1));
+  EXPECT_EQ(kept[2].locked_bytes, 9);
+  EXPECT_EQ(kept[2].node, NodeId(2));
+  EXPECT_EQ(kept[2].when, SimTime(5'000'000));
+
+  // The CSV writes one row per stored sample: zero rows are omitted.
+  std::ostringstream os;
+  write_memory_samples_csv(metrics, os);
+  const std::string out = os.str();
+  EXPECT_EQ(line_count(out), 1u + kept.size());
+  EXPECT_NE(out.find("1,1,7\n1,4,3\n2,5,9\n"), std::string::npos);
 }
 
 TEST(CsvExport, TierSamples) {

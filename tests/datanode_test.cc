@@ -187,5 +187,48 @@ TEST_F(DataNodeTest, CorruptBlockMarksOnlyTheStoredCopy) {
   EXPECT_THROW(node_.corrupt_block(BlockId(3)), CheckFailure);
 }
 
+// The corrupt-replica count behind is_corrupt's no-rot fast path.
+
+TEST_F(DataNodeTest, CorruptingTwiceCountsOnce) {
+  node_.add_block(BlockId(1), 64 * kMiB);
+  node_.add_block(BlockId(2), 64 * kMiB);
+  EXPECT_EQ(node_.corrupt_replica_count(), 0u);
+  node_.corrupt_block(BlockId(1));
+  node_.corrupt_block(BlockId(1));
+  EXPECT_EQ(node_.corrupt_replica_count(), 1u);
+  node_.corrupt_block(BlockId(2));
+  EXPECT_EQ(node_.corrupt_replica_count(), 2u);
+}
+
+TEST_F(DataNodeTest, RewriteHealsTheCorruptCount) {
+  node_.add_block(BlockId(1), 64 * kMiB);
+  node_.add_block(BlockId(2), 64 * kMiB);
+  node_.corrupt_block(BlockId(1));
+  node_.add_block(BlockId(1), 64 * kMiB);
+  EXPECT_EQ(node_.corrupt_replica_count(), 0u);
+  EXPECT_FALSE(node_.is_corrupt(BlockId(1)));
+  // Re-writing a clean replica leaves the count alone.
+  node_.corrupt_block(BlockId(2));
+  node_.add_block(BlockId(1), 64 * kMiB);
+  EXPECT_EQ(node_.corrupt_replica_count(), 1u);
+  EXPECT_TRUE(node_.is_corrupt(BlockId(2)));
+}
+
+TEST_F(DataNodeTest, RemovingACorruptReplicaDecrementsTheCount) {
+  node_.add_block(BlockId(1), 64 * kMiB);
+  node_.add_block(BlockId(2), 64 * kMiB);
+  node_.add_block(BlockId(3), 64 * kMiB);
+  node_.corrupt_block(BlockId(1));
+  node_.corrupt_block(BlockId(3));
+  node_.remove_block(BlockId(2));  // clean: no change
+  EXPECT_EQ(node_.corrupt_replica_count(), 2u);
+  node_.remove_block(BlockId(3));
+  EXPECT_EQ(node_.corrupt_replica_count(), 1u);
+  EXPECT_FALSE(node_.is_corrupt(BlockId(3)));
+  EXPECT_TRUE(node_.is_corrupt(BlockId(1)));
+  node_.remove_block(BlockId(1));
+  EXPECT_EQ(node_.corrupt_replica_count(), 0u);
+}
+
 }  // namespace
 }  // namespace ignem

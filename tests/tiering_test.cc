@@ -498,8 +498,9 @@ TEST(TieredTestbedTest, ThreeTierIgnemRunPromotesAndDemotes) {
 
   std::uint64_t promotes = 0;
   std::uint64_t demotes = 0;
-  for (int n = 0; n < config.cluster.node_count; ++n) {
-    const TierHierarchy& tiers = testbed.datanode(NodeId(n)).tiers();
+  for (std::size_t n = 0; n < config.cluster.node_count; ++n) {
+    const TierHierarchy& tiers =
+        testbed.datanode(NodeId(static_cast<std::int64_t>(n))).tiers();
     promotes += tiers.total_promotes();
     demotes += tiers.total_demotes();
     for (std::size_t t = 0; t < tiers.home_tier(); ++t) {
