@@ -2,7 +2,7 @@
 // preserved pre-rewrite kernel (bench/reference_kernel.h):
 //
 //   1. Event-queue churn: ~100k live events under a 40/30/30 push/cancel/pop
-//      mix — the indexed 4-ary heap's O(log n) cancel versus the tombstone
+//      mix — the ladder queue's O(1)/O(log n) cancel versus the tombstone
 //      scheme's hash probes and dead-entry sweeps.
 //   2. Raw dispatch throughput of the Simulator (push + drain), the figure
 //      scripts/perf_smoke.sh gates on.
@@ -131,7 +131,7 @@ void bench_event_churn(BenchReport& report) {
   // on the *same* instance it was warmed on: the warmed replay is the
   // steady state the slab/arena work targets, and it must perform zero
   // heap calls (asserted below via KernelAllocCounters).
-  EventQueue ladder;  // the production default: Backend::kLadder
+  EventQueue ladder;
   const std::uint64_t warm_sum =
       run_event_script_on<EventQueue, EventHandle>(ladder, script);
   const KernelAllocCounters before = kernel_alloc_counters();
@@ -150,13 +150,6 @@ void bench_event_churn(BenchReport& report) {
   IGNEM_CHECK(steady_heap_frees == 0);
   IGNEM_CHECK(steady_growths == 0);
 
-  EventQueue heap(EventQueue::Backend::kHeap);
-  run_event_script_on<EventQueue, EventHandle>(heap, script);
-  start = std::chrono::steady_clock::now();
-  const std::uint64_t heap_sum =
-      run_event_script_on<EventQueue, EventHandle>(heap, script);
-  const double heap_secs = seconds_since(start);
-
   run_event_script<reference::ReferenceEventQueue, std::uint64_t>(script);
   start = std::chrono::steady_clock::now();
   const std::uint64_t ref_sum =
@@ -164,27 +157,22 @@ void bench_event_churn(BenchReport& report) {
   const double ref_secs = seconds_since(start);
 
   IGNEM_CHECK(new_sum == ref_sum);
-  IGNEM_CHECK(heap_sum == ref_sum);
   const double new_ops = total_ops / new_secs;
-  const double heap_ops = total_ops / heap_secs;
   const double ref_ops = total_ops / ref_secs;
   const double speedup = new_ops / ref_ops;
   std::printf(
       "event churn   (%zu live, 30%% cancel): ladder %10.0f ops/s (%.3f s)  "
-      "4-ary heap %10.0f ops/s (%.3f s)  tombstone %10.0f ops/s (%.3f s)\n"
-      "              ladder vs tombstone %.2fx %s, vs heap %.2fx; steady "
+      "tombstone %10.0f ops/s (%.3f s)\n"
+      "              ladder vs tombstone %.2fx %s; steady "
       "state: %llu heap allocs, %llu pool hits\n",
-      kPrefill, new_ops, new_secs, heap_ops, heap_secs, ref_ops, ref_secs,
-      speedup, speedup >= 3.0 ? "[>=3x OK]" : "[BELOW 3x TARGET]",
-      new_ops / heap_ops,
+      kPrefill, new_ops, new_secs, ref_ops, ref_secs, speedup,
+      speedup >= 3.0 ? "[>=3x OK]" : "[BELOW 3x TARGET]",
       static_cast<unsigned long long>(steady_heap_allocs),
       static_cast<unsigned long long>(steady_pool_hits));
   report.metric("event_churn_ops", total_ops);
   report.metric("event_churn_new_ops_per_sec", new_ops);
-  report.metric("event_churn_heap_ops_per_sec", heap_ops);
   report.metric("event_churn_ref_ops_per_sec", ref_ops);
   report.metric("event_churn_speedup", speedup);
-  report.metric("event_churn_ladder_vs_heap", new_ops / heap_ops);
   report.metric("event_churn_steady_heap_allocs",
                 static_cast<double>(steady_heap_allocs));
   report.metric("event_churn_steady_pool_hits",
@@ -274,24 +262,14 @@ double time_bandwidth_churn(std::size_t background, int churn_ops,
 void bench_bandwidth_churn(BenchReport& report) {
   constexpr int kChurnOps = 20000;
   std::printf("bandwidth churn (start+abort vs n background streams):\n");
-  std::printf("  %8s %16s %16s %16s\n", "n", "credit-set ns/op",
-              "epoch ns/op", "settle-all ns/op");
+  std::printf("  %8s %16s %16s\n", "n", "credit-set ns/op",
+              "settle-all ns/op");
   double new_n1 = 0, new_n512 = 0, ref_n1 = 0, ref_n512 = 0;
-  double epoch_n512 = 0;
   for (std::size_t n = 1; n <= 512; n *= 2) {
     const double new_ns =
         time_bandwidth_churn<SharedBandwidthResource, TransferHandle>(
             n, kChurnOps, [](Simulator& sim) {
               return SharedBandwidthResource(sim, "bench", churn_profile());
-            });
-    // Same model with settle-epoch coalescing: a same-timestamp burst pays
-    // one completion derivation instead of one per op.
-    const double epoch_ns =
-        time_bandwidth_churn<SharedBandwidthResource, TransferHandle>(
-            n, kChurnOps, [](Simulator& sim) {
-              return SharedBandwidthResource(
-                  sim, "bench", churn_profile(),
-                  SharedBandwidthResource::SettleMode::kEpoch);
             });
     const double ref_ns =
         time_bandwidth_churn<reference::ReferenceBandwidthResource,
@@ -300,7 +278,7 @@ void bench_bandwidth_churn(BenchReport& report) {
               return reference::ReferenceBandwidthResource(sim,
                                                            churn_profile());
             });
-    std::printf("  %8zu %16.0f %16.0f %16.0f\n", n, new_ns, epoch_ns, ref_ns);
+    std::printf("  %8zu %16.0f %16.0f\n", n, new_ns, ref_ns);
     if (n == 1) {
       new_n1 = new_ns;
       ref_n1 = ref_ns;
@@ -308,13 +286,10 @@ void bench_bandwidth_churn(BenchReport& report) {
     if (n == 512) {
       new_n512 = new_ns;
       ref_n512 = ref_ns;
-      epoch_n512 = epoch_ns;
     }
     report.metric("bw_churn_new_ns_per_op_n" + std::to_string(n), new_ns);
-    report.metric("bw_churn_epoch_ns_per_op_n" + std::to_string(n), epoch_ns);
     report.metric("bw_churn_ref_ns_per_op_n" + std::to_string(n), ref_ns);
   }
-  report.metric("bw_churn_epoch_vs_per_op", new_n512 / epoch_n512);
   // O(log n) vs O(n): going 1 -> 512 streams should multiply the reference's
   // per-op cost by ~hundreds but the credit-set model's by a small factor.
   std::printf(
@@ -347,22 +322,15 @@ void bench_bandwidth_churn(BenchReport& report) {
   const auto [new_secs, new_end] = run_drain([](Simulator& sim) {
     return SharedBandwidthResource(sim, "bench", churn_profile());
   });
-  const auto [epoch_secs, epoch_end] = run_drain([](Simulator& sim) {
-    return SharedBandwidthResource(sim, "bench", churn_profile(),
-                                   SharedBandwidthResource::SettleMode::kEpoch);
-  });
   const auto [ref_secs, ref_end] = run_drain([](Simulator& sim) {
     return reference::ReferenceBandwidthResource(sim, churn_profile());
   });
-  IGNEM_CHECK(new_end == ref_end);    // bit-identical completion schedule
-  IGNEM_CHECK(epoch_end == ref_end);  // coalesced settles, same physics
+  IGNEM_CHECK(new_end == ref_end);  // bit-identical completion schedule
   std::printf(
       "bandwidth drain (%zu ragged streams to completion): credit-set %.3f s, "
-      "epoch %.3f s, settle-all %.3f s, identical end time %lld us\n",
-      kDrainStreams, new_secs, epoch_secs, ref_secs,
-      static_cast<long long>(new_end));
+      "settle-all %.3f s, identical end time %lld us\n",
+      kDrainStreams, new_secs, ref_secs, static_cast<long long>(new_end));
   report.metric("bw_drain_new_seconds", new_secs);
-  report.metric("bw_drain_epoch_seconds", epoch_secs);
   report.metric("bw_drain_ref_seconds", ref_secs);
 }
 

@@ -12,11 +12,12 @@
 //     *every* active transfer on every set change — O(n) per start, abort,
 //     and completion, O(n^2) through a burst.
 //
-// The production kernel (src/sim/event_queue.h, an index-tracked 4-ary
-// heap, and src/storage/bandwidth_resource.h, virtual-service-time PS) must
-// match these byte-for-byte on event times, ordering, and callback
-// sequence; tests/kernel_differential_test.cc drives both over randomized
-// op streams and asserts exact equality.
+// The production kernel (src/sim/event_queue.h, a ladder of time buckets
+// over an index-tracked 4-ary heap, and src/storage/bandwidth_resource.h,
+// virtual-service-time PS) must match these byte-for-byte on event times,
+// ordering, and callback sequence; tests/kernel_differential_test.cc and
+// tests/event_queue_fuzz_test.cc drive both over randomized op streams and
+// assert exact equality.
 #pragma once
 
 #include <algorithm>

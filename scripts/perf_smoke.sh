@@ -41,9 +41,8 @@ import json, sys
 baseline_path, work, runs = sys.argv[1], sys.argv[2], int(sys.argv[3])
 baseline = json.load(open(baseline_path))
 
-GATED = ["event_churn_new_ops_per_sec", "event_churn_heap_ops_per_sec",
-         "dispatch_events_per_sec", "event_churn_speedup",
-         "event_churn_ladder_vs_heap", "bw_churn_epoch_vs_per_op"]
+GATED = ["event_churn_new_ops_per_sec", "dispatch_events_per_sec",
+         "event_churn_speedup"]
 TOLERANCE = 0.25
 
 best = {}

@@ -28,42 +28,38 @@ NodeId DfsClient::choose_replica(NodeId reader, BlockId block) const {
   // works, and no active partition separates it from the reader. (During
   // an undetected crash the namespace still lists the node; the physical
   // alive() check keeps us off it. The reachability check is a single
-  // integer compare on a healthy fabric.)
-  std::vector<NodeId> locations;
+  // integer compare on a healthy fabric.) One pass over the replicas
+  // collects every candidate the preference order below needs.
+  NodeId memory = NodeId::invalid();  // first memory copy in location order
+  NodeId best = NodeId::invalid();    // least-loaded usable copy
+  std::size_t best_load = 0;
+  bool local = false;
   for (const NodeId node : namenode_.live_locations(block)) {
-    const DataNode* dn = namenode_.datanode(node);
+    DataNode* dn = namenode_.datanode(node);
     if (!dn->alive()) continue;
-    if (!dn->has_promoted_copy(block) && !dn->disk_ok()) continue;
+    const bool promoted = dn->has_promoted_copy(block);
+    if (!promoted && !dn->disk_ok()) continue;
     if (!network_.reachable(node, reader)) continue;
-    locations.push_back(node);
-  }
-  if (locations.empty()) return NodeId::invalid();
-  const bool reader_has_replica =
-      std::find(locations.begin(), locations.end(), reader) != locations.end();
-
-  // 1. Local memory-resident copy.
-  if (reader_has_replica &&
-      namenode_.datanode(reader)->has_promoted_copy(block)) {
-    return reader;
-  }
-  // 2. Any memory-resident copy (remote RAM + network beats local disk).
-  for (const NodeId node : locations) {
-    if (namenode_.datanode(node)->has_promoted_copy(block)) return node;
-  }
-  // 3. Local disk.
-  if (reader_has_replica) return reader;
-  // 4. Remote disk: pick the least-loaded replica's device, breaking ties by
-  //    node id for determinism.
-  NodeId best = locations.front();
-  std::size_t best_load = namenode_.datanode(best)->primary_device().active_requests();
-  for (const NodeId node : locations) {
-    const std::size_t load =
-        namenode_.datanode(node)->primary_device().active_requests();
-    if (load < best_load || (load == best_load && node < best)) {
+    if (node == reader) {
+      // 1. Local memory-resident copy.
+      if (promoted) return reader;
+      local = true;
+    }
+    if (promoted && !memory.valid()) memory = node;
+    // Ties break by node id for determinism.
+    const std::size_t load = dn->primary_device().active_requests();
+    if (!best.valid() || load < best_load ||
+        (load == best_load && node < best)) {
       best = node;
       best_load = load;
     }
   }
+  // 2. Any memory-resident copy (remote RAM + network beats local disk).
+  if (memory.valid()) return memory;
+  // 3. Local disk.
+  if (local) return reader;
+  // 4. Remote disk: the least-loaded replica's device (invalid when no
+  //    replica is usable).
   return best;
 }
 
@@ -87,6 +83,23 @@ void DfsClient::fail_read(NodeId reader, BlockId block, JobId job,
   on_complete(record);
 }
 
+bool DfsClient::retry_read(NodeId reader, BlockId block, JobId job,
+                           SimTime start, Duration delay,
+                           ReadCallback on_complete) {
+  if (sim_.now() - start >= read_deadline_) {
+    fail_read(reader, block, job, start, on_complete);
+    return false;
+  }
+  ++stats_.retries;
+  sim_.schedule(delay,
+                [this, reader, block, job, start,
+                 cb = std::move(on_complete)]() mutable {
+                  attempt_read(reader, block, job, start, std::move(cb));
+                },
+                EventClass::kRetry);
+  return true;
+}
+
 void DfsClient::attempt_read(NodeId reader, BlockId block, JobId job,
                              SimTime start, ReadCallback on_complete) {
   const NodeId source = choose_replica(reader, block);
@@ -95,17 +108,8 @@ void DfsClient::attempt_read(NodeId reader, BlockId block, JobId job,
     // Wait for recovery or re-replication to restore one, then try again —
     // but not past the deadline: a permanently unreadable block must
     // surface a terminal error, not retry forever.
-    if (sim_.now() - start >= read_deadline_) {
-      fail_read(reader, block, job, start, on_complete);
-      return;
-    }
-    ++stats_.retries;
-    sim_.schedule(kReadRetryDelay,
-                  [this, reader, block, job, start,
-                   cb = std::move(on_complete)]() mutable {
-                    attempt_read(reader, block, job, start, std::move(cb));
-                  },
-                  EventClass::kRetry);
+    retry_read(reader, block, job, start, kReadRetryDelay,
+               std::move(on_complete));
     return;
   }
   DataNode* source_node = namenode_.datanode(source);
@@ -117,20 +121,10 @@ void DfsClient::attempt_read(NodeId reader, BlockId block, JobId job,
       [this, reader, source, block, job, bytes, start, remote,
        cb = std::move(on_complete)](const BlockReadResult& local) {
         if (local.failed) {
-          // The source died mid-read; back off and pick another replica
-          // (the deadline check happens on the re-attempt).
-          if (sim_.now() - start >= read_deadline_) {
-            fail_read(reader, block, job, start, cb);
-            return;
+          // The source died mid-read; back off and pick another replica.
+          if (retry_read(reader, block, job, start, kReadRetryDelay, cb)) {
+            ++stats_.replica_failovers;
           }
-          ++stats_.retries;
-          ++stats_.replica_failovers;
-          sim_.schedule(kReadRetryDelay,
-                        [this, reader, block, job, start, cb]() mutable {
-                          attempt_read(reader, block, job, start,
-                                       std::move(cb));
-                        },
-                        EventClass::kRetry);
           return;
         }
         if (local.corrupt) {
@@ -139,21 +133,12 @@ void DfsClient::attempt_read(NodeId reader, BlockId block, JobId job,
           // If the exclusion did not take (no integrity plane wired), back
           // off instead so the retry loop advances sim time toward the
           // deadline rather than spinning.
-          if (sim_.now() - start >= read_deadline_) {
-            fail_read(reader, block, job, start, cb);
-            return;
-          }
-          ++stats_.retries;
-          ++stats_.checksum_failovers;
           const Duration delay = choose_replica(reader, block) == source
                                      ? kReadRetryDelay
                                      : Duration::zero();
-          sim_.schedule(delay,
-                        [this, reader, block, job, start, cb]() mutable {
-                          attempt_read(reader, block, job, start,
-                                       std::move(cb));
-                        },
-                        EventClass::kRetry);
+          if (retry_read(reader, block, job, start, delay, cb)) {
+            ++stats_.checksum_failovers;
+          }
           return;
         }
         auto finish = [this, reader, source, block, job, bytes, start, remote,
@@ -187,18 +172,10 @@ void DfsClient::attempt_read(NodeId reader, BlockId block, JobId job,
                 // Severed mid-transfer by a fresh partition cut: fail over
                 // to a reachable replica, deadline-checked like a source
                 // death (choose_replica skips unreachable nodes).
-                if (sim_.now() - start >= read_deadline_) {
-                  fail_read(reader, block, job, start, cb);
-                  return;
+                if (retry_read(reader, block, job, start, kReadRetryDelay,
+                               cb)) {
+                  ++stats_.replica_failovers;
                 }
-                ++stats_.retries;
-                ++stats_.replica_failovers;
-                sim_.schedule(kReadRetryDelay,
-                              [this, reader, block, job, start, cb]() mutable {
-                                attempt_read(reader, block, job, start,
-                                             std::move(cb));
-                              },
-                              EventClass::kRetry);
               });
         } else {
           finish();

@@ -93,6 +93,11 @@ class DfsClient {
   void attempt_read(NodeId reader, BlockId block, JobId job, SimTime start,
                     ReadCallback on_complete);
 
+  /// Past the deadline, fails the read and returns false. Otherwise counts
+  /// a retry, schedules the next attempt `delay` from now and returns true.
+  bool retry_read(NodeId reader, BlockId block, JobId job, SimTime start,
+                  Duration delay, ReadCallback on_complete);
+
   /// Delivers the terminal-failure record (deadline exhausted).
   void fail_read(NodeId reader, BlockId block, JobId job, SimTime start,
                  const ReadCallback& on_complete);

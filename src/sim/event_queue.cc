@@ -7,18 +7,15 @@
 
 namespace ignem {
 
-EventQueue::EventQueue(Backend backend, LadderConfig ladder)
-    : backend_(backend) {
-  if (backend_ == Backend::kLadder) {
-    IGNEM_CHECK(ladder.bucket_width_micros > 0);
-    IGNEM_CHECK(ladder.bucket_count >= 64 &&
-                std::has_single_bit(ladder.bucket_count));
-    buckets_.resize(ladder.bucket_count);
-    occupancy_.assign(ladder.bucket_count / 64, 0);
-    width_micros_ = ladder.bucket_width_micros;
-    window_micros_ =
-        width_micros_ * static_cast<std::int64_t>(ladder.bucket_count);
-  }
+EventQueue::EventQueue(LadderConfig ladder) {
+  IGNEM_CHECK(ladder.bucket_width_micros > 0);
+  IGNEM_CHECK(ladder.bucket_count >= 64 &&
+              std::has_single_bit(ladder.bucket_count));
+  buckets_.resize(ladder.bucket_count);
+  occupancy_.assign(ladder.bucket_count / 64, 0);
+  width_micros_ = ladder.bucket_width_micros;
+  window_micros_ =
+      width_micros_ * static_cast<std::int64_t>(ladder.bucket_count);
 }
 
 const char* event_class_name(EventClass cls) {
@@ -68,9 +65,7 @@ EventHandle EventQueue::push(SimTime when, Action action, EventClass cls) {
   const std::uint64_t seq = next_seq_++;
   const HeapEntry entry{when.count_micros(), seq, slot};
   ++live_;
-  if (backend_ == Backend::kHeap) {
-    heap_push(far_, kInFar, entry);
-  } else if (entry.when_micros < bottom_end_) {
+  if (entry.when_micros < bottom_end_) {
     // A push below the band with the whole band empty means the band
     // drifted far ahead (the queue drained, or only far-horizon events
     // remain); re-anchor it so short-delay traffic uses the buckets again
@@ -141,8 +136,7 @@ std::pair<SimTime, EventQueue::Action> EventQueue::pop() {
     if (bottom_.empty()) refill_bottom();
   } else {
     heap_remove_at(far_, 0);
-    if (backend_ == Backend::kLadder && bottom_.empty() &&
-        bucket_events_ == 0) {
+    if (bottom_.empty() && bucket_events_ == 0) {
       // The whole bucketed band has fallen behind the clock; re-anchor the
       // window at the time just popped so subsequent short-delay pushes
       // land in buckets again instead of piling into the far heap.
@@ -208,7 +202,7 @@ std::size_t EventQueue::next_occupied_distance(std::size_t from) const {
 }
 
 void EventQueue::refill_bottom() {
-  if (backend_ != Backend::kLadder || bucket_events_ == 0) return;
+  if (bucket_events_ == 0) return;
   IGNEM_CHECK(bottom_.empty());
   const std::size_t cur = bucket_index(bottom_end_);
   const std::size_t d = next_occupied_distance(cur);

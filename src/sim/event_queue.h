@@ -1,27 +1,22 @@
-// Pending-event set for the discrete-event simulator.
+// Pending-event set for the discrete-event simulator: a calendar/ladder
+// front-end over a 4-ary min-heap keyed by (time, seq).
 //
-// Two backends behind one interface, selected at construction:
+// Near-horizon events — the dense band of short-delay events that dominates
+// kernel traffic (transfer completions, zero-delay continuations,
+// NIC-latency hops) — land in a ring of fixed-width time buckets with O(1)
+// push and O(1) swap-remove cancel. Only the bucket currently being drained
+// (the "bottom") is heap-ordered, so pop costs O(log k) in the bucket
+// occupancy k (tens) instead of O(log n) in the whole pending set (hundreds
+// of thousands). Events beyond the bucket window overflow into the
+// far-horizon 4-ary heap and are compared against the bottom on every pop,
+// so ordering is exact. The differential tests check it against the
+// tombstone reference queue in bench/reference_kernel.h.
 //
-//   - kHeap: the PR-2 index-tracked 4-ary min-heap keyed by (time, seq).
-//     Kept fully functional for differential testing (the fuzz suite runs
-//     ladder-vs-heap on identical op streams) and as the conservative
-//     fallback.
-//   - kLadder (the default): a calendar/ladder front-end layered over that
-//     heap. Near-horizon events — the dense band of short-delay events that
-//     dominates kernel traffic (transfer completions, zero-delay
-//     continuations, NIC-latency hops) — land in a ring of fixed-width time
-//     buckets with O(1) push and O(1) swap-remove cancel. Only the bucket
-//     currently being drained (the "bottom") is heap-ordered, so pop costs
-//     O(log k) in the bucket occupancy k (tens) instead of O(log n) in the
-//     whole pending set (hundreds of thousands). Events beyond the bucket
-//     window overflow into the far-horizon 4-ary heap and are compared
-//     against the bottom on every pop, so ordering is exact.
-//
-// Both backends observe the identical total order (time, then insertion
-// seq — FIFO within a timestamp) and O(log)-bounded true cancellation: a
-// handle carries (slot, generation), slots record where their event
-// currently lives (far heap / bottom heap / bucket), and cancel removes it
-// from that container directly — no tombstones, no hashing.
+// The total order is (time, then insertion seq — FIFO within a timestamp)
+// and cancellation is true and O(log)-bounded: a handle carries (slot,
+// generation), slots record where their event currently lives (far heap /
+// bottom heap / bucket), and cancel removes it from that container
+// directly — no tombstones, no hashing.
 //
 // Storage: 24-byte (time, seq, slot) records move through the heaps and
 // buckets; callbacks stay put in a slot arena (ChunkedVector — growth never
@@ -47,7 +42,7 @@ namespace ignem {
 /// cannot change a trace.
 enum class EventClass : std::uint8_t {
   kGeneric = 0,   ///< Untagged (job control flow, tests).
-  kTransfer,      ///< Bandwidth-channel completions and settle flushes.
+  kTransfer,      ///< Bandwidth-channel completions.
   kPeriodic,      ///< Heartbeats, monitors, samplers, scrub ticks.
   kRpc,           ///< Control-plane RPC latencies (master/NN messaging).
   kMigration,     ///< Ignem slave wakes and migration pacing.
@@ -81,11 +76,6 @@ class EventQueue {
  public:
   using Action = SmallFunction;
 
-  enum class Backend {
-    kHeap,    ///< Pure 4-ary indexed heap (the PR-2 structure).
-    kLadder,  ///< Bucketed near-horizon band over the heap (default).
-  };
-
   /// Ladder geometry. The bucket window spans
   /// `bucket_width_micros * bucket_count` of simulated time ahead of the
   /// drain point; events past it overflow to the far heap. Defaults: 256 us
@@ -97,9 +87,8 @@ class EventQueue {
     std::uint32_t bucket_count = 4096;  ///< Must be a power of two.
   };
 
-  EventQueue() : EventQueue(Backend::kLadder) {}
-  explicit EventQueue(Backend backend) : EventQueue(backend, LadderConfig{}) {}
-  EventQueue(Backend backend, LadderConfig ladder);
+  EventQueue() : EventQueue(LadderConfig{}) {}
+  explicit EventQueue(LadderConfig ladder);
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -128,8 +117,6 @@ class EventQueue {
   /// Class tag of the event the last pop() returned (profiling metadata;
   /// read it before the next pop).
   EventClass last_popped_class() const { return last_cls_; }
-
-  Backend backend() const { return backend_; }
 
   /// Introspection for tests/benches: events currently in the far heap vs
   /// the bucketed band (bottom + buckets). Sums to live_count().
@@ -201,8 +188,6 @@ class EventQueue {
 
   /// Earliest of bottom/far front entries. Requires !empty().
   const HeapEntry& min_entry() const;
-
-  Backend backend_;
 
   std::vector<HeapEntry> far_;     // 4-ary heap: far-horizon overflow
   std::vector<HeapEntry> bottom_;  // 4-ary heap: the band being drained

@@ -19,12 +19,8 @@ constexpr std::size_t kLogCompactThreshold = std::size_t{1} << 20;
 
 SharedBandwidthResource::SharedBandwidthResource(Simulator& sim,
                                                  std::string name,
-                                                 BandwidthProfile profile,
-                                                 SettleMode settle_mode)
-    : sim_(sim),
-      name_(std::move(name)),
-      profile_(profile),
-      settle_mode_(settle_mode) {
+                                                 BandwidthProfile profile)
+    : sim_(sim), name_(std::move(name)), profile_(profile) {
   IGNEM_CHECK(profile_.sequential_bw > 0);
   IGNEM_CHECK(profile_.degradation >= 0);
   IGNEM_CHECK(profile_.per_stream_cap > 0);
@@ -56,12 +52,7 @@ TransferHandle SharedBandwidthResource::start(Bytes bytes,
                                            credit, bytes,
                                            std::move(on_complete)});
   by_credit_.insert({credit, handle.id()});
-  if (settle_mode_ == SettleMode::kEpoch) {
-    emit_change();
-    request_flush();
-  } else {
-    reschedule();
-  }
+  reschedule();
   return handle;
 }
 
@@ -76,12 +67,7 @@ bool SharedBandwidthResource::abort(TransferHandle handle) {
     busy_accum_ += sim_.now() - busy_since_;
     reset_idle();
   }
-  if (settle_mode_ == SettleMode::kEpoch) {
-    emit_change();
-    request_flush();
-  } else {
-    reschedule();
-  }
+  reschedule();
   return true;
 }
 
@@ -203,7 +189,9 @@ void SharedBandwidthResource::emit_change() {
   }
 }
 
-void SharedBandwidthResource::schedule_completion() {
+void SharedBandwidthResource::reschedule() {
+  cancel_pending();
+  emit_change();
   if (transfers_.empty()) return;
   const Bandwidth rate = per_stream_rate(transfers_.size());
   // The earliest finisher is within slack of the smallest credit; the exact
@@ -219,35 +207,8 @@ void SharedBandwidthResource::schedule_completion() {
                                  EventClass::kTransfer);
 }
 
-void SharedBandwidthResource::reschedule() {
-  cancel_pending();
-  emit_change();
-  schedule_completion();
-}
-
-void SharedBandwidthResource::request_flush() {
-  if (epoch_dirty_) return;
-  epoch_dirty_ = true;
-  flush_event_ = sim_.schedule(Duration::zero(), [this] { flush_epoch(); },
-                               EventClass::kTransfer);
-}
-
-void SharedBandwidthResource::flush_epoch() {
-  epoch_dirty_ = false;
-  flush_event_ = EventHandle::invalid();
-  cancel_pending();
-  schedule_completion();
-}
-
 void SharedBandwidthResource::on_completion_event() {
   pending_event_ = EventHandle::invalid();
-  if (epoch_dirty_) {
-    // The transfer set changed earlier at this same timestamp; the pending
-    // flush will derive a fresh completion. The per-op path would have
-    // cancelled this event outright, so firing as a no-op (no settle, no
-    // trace) keeps behavior identical.
-    return;
-  }
   settle();
   // Collect all drained transfers before invoking callbacks: a callback may
   // start new transfers on this same resource. Drained == exact remaining

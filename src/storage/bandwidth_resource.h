@@ -71,25 +71,8 @@ class SharedBandwidthResource {
  public:
   using Callback = SmallFunction;
 
-  /// How transfer-set changes propagate to the completion event.
-  ///
-  ///   - kPerOp (default): every start/abort cancels and reschedules the
-  ///     completion event immediately — the historical behavior. Event
-  ///     sequence numbers are allocated exactly as they always were, so
-  ///     pinned trace hashes stay bit-identical.
-  ///   - kEpoch: a start/abort burst at one timestamp marks the epoch dirty
-  ///     and schedules a single zero-delay flush; the flush derives the next
-  ///     completion once for the whole burst. Settle-log math, completion
-  ///     times, and callback order are bit-identical to kPerOp (the
-  ///     differential suite proves it); only the *interleaving* of the
-  ///     completion event among unrelated events at the exact same
-  ///     microsecond can differ, which is why it is opt-in rather than the
-  ///     default under pinned traces.
-  enum class SettleMode { kPerOp, kEpoch };
-
   SharedBandwidthResource(Simulator& sim, std::string name,
-                          BandwidthProfile profile,
-                          SettleMode settle_mode = SettleMode::kPerOp);
+                          BandwidthProfile profile);
 
   SharedBandwidthResource(const SharedBandwidthResource&) = delete;
   SharedBandwidthResource& operator=(const SharedBandwidthResource&) = delete;
@@ -170,20 +153,10 @@ class SharedBandwidthResource {
   /// Cancels the pending completion event, if any.
   void cancel_pending();
 
-  /// Derives the earliest completion from the current set and schedules it.
-  void schedule_completion();
-
-  /// Re-derives rates and (re)schedules the next completion event; the
-  /// legacy per-op path, still used by on_completion_event().
+  /// Emits the set change, then cancels the pending completion event and
+  /// schedules one for the earliest finisher of the current set. Every
+  /// start, abort and completion calls it.
   void reschedule();
-
-  /// Epoch coalescing: start()/abort() mark the epoch dirty and schedule one
-  /// zero-delay flush instead of rescheduling per call, so a burst of N
-  /// same-timestamp set changes pays for one completion derivation, not N.
-  /// Trace events are emitted inline at each change, so the trace stream is
-  /// identical to the per-op path's.
-  void request_flush();
-  void flush_epoch();
 
   /// Fires when the earliest transfer should have drained.
   void on_completion_event();
@@ -193,7 +166,6 @@ class SharedBandwidthResource {
   Simulator& sim_;
   std::string name_;
   BandwidthProfile profile_;
-  SettleMode settle_mode_;
   TraceRecorder* trace_ = nullptr;
   NodeId trace_node_;
 
@@ -207,11 +179,6 @@ class SharedBandwidthResource {
   std::uint64_t next_id_ = 1;
   SimTime last_update_ = SimTime::zero();
   EventHandle pending_event_ = EventHandle::invalid();
-  /// True between a set mutation and its same-timestamp flush event. Never
-  /// spans timestamps: the flush is zero-delay, so it fires before the clock
-  /// advances.
-  bool epoch_dirty_ = false;
-  EventHandle flush_event_ = EventHandle::invalid();
 
   Bytes bytes_completed_ = 0;
   // Busy-time accounting: accumulated whenever >=1 transfer is active.

@@ -82,6 +82,45 @@ TEST_F(DfsClientTest, RemoteCachedBeatsLocalDisk) {
   EXPECT_LT(record.duration.to_seconds(), local.duration.to_seconds());
 }
 
+TEST_F(DfsClientTest, LocalCachedBeatsEarlierRemoteCached) {
+  build(4, 4);
+  const BlockId block = one_block_file("/a");
+  const auto replicas = namenode_->block(block).replicas;
+  // A remote copy listed ahead of the reader's own copy is also in memory;
+  // the local memory copy still wins.
+  const NodeId reader = replicas.back();
+  datanodes_[static_cast<std::size_t>(replicas.front().value())]
+      ->cache()
+      .lock(block, 64 * kMiB);
+  datanodes_[static_cast<std::size_t>(reader.value())]->cache().lock(
+      block, 64 * kMiB);
+  const auto record = read(reader, block);
+  EXPECT_FALSE(record.remote);
+  EXPECT_TRUE(record.from_memory);
+  EXPECT_EQ(record.source, reader);
+}
+
+TEST_F(DfsClientTest, FirstRemoteCachedCopyInLocationOrderWins) {
+  build(4, 3);
+  const BlockId block = one_block_file("/a");
+  const auto replicas = namenode_->block(block).replicas;
+  NodeId reader;
+  for (std::int64_t i = 0; i < 4; ++i) {
+    if (std::find(replicas.begin(), replicas.end(), NodeId(i)) ==
+        replicas.end()) {
+      reader = NodeId(i);
+    }
+  }
+  ASSERT_TRUE(reader.valid());
+  for (const std::size_t k : {std::size_t{1}, std::size_t{2}}) {
+    datanodes_[static_cast<std::size_t>(replicas[k].value())]->cache().lock(
+        block, 64 * kMiB);
+  }
+  const auto record = read(reader, block);
+  EXPECT_TRUE(record.from_memory);
+  EXPECT_EQ(record.source, replicas[1]);
+}
+
 TEST_F(DfsClientTest, LocalCachedIsFastest) {
   build(4, 4);
   const BlockId block = one_block_file("/a");
