@@ -108,8 +108,8 @@ class BenchReport {
     {
       std::lock_guard<std::mutex> lock(fingerprint_mutex_);
       // Benches that never run a Testbed (trace analyses, the kernel
-      // microbenchmarks) still stamp the kernel-level defaults: nodes=0
-      // marks "no cluster" while queue/settle/seed stay meaningful.
+      // microbenchmarks) stamp an empty fingerprint: no fields, only the
+      // hash of the empty text, which marks "no cluster".
       if (!fingerprint_.has_value()) fingerprint_ = ConfigFingerprint{};
       out << "  \"fingerprint\": ";
       fingerprint_->write_json(out, 2);

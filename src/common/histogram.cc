@@ -72,14 +72,6 @@ double Histogram::frequency(std::size_t i) const {
   return static_cast<double>(counts_.at(i)) / static_cast<double>(total_);
 }
 
-void Histogram::merge(const Histogram& other) {
-  IGNEM_CHECK_MSG(lo_ == other.lo_ && hi_ == other.hi_ &&
-                      counts_.size() == other.counts_.size(),
-                  "Histogram::merge geometry mismatch");
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  total_ += other.total_;
-}
-
 std::string Histogram::render(const std::string& label, const std::string& unit,
                               std::size_t bar_width) const {
   return render_bins(
@@ -117,14 +109,6 @@ double LogHistogram::bin_hi(std::size_t i) const {
 double LogHistogram::frequency(std::size_t i) const {
   if (total_ == 0) return 0.0;
   return static_cast<double>(counts_.at(i)) / static_cast<double>(total_);
-}
-
-void LogHistogram::merge(const LogHistogram& other) {
-  IGNEM_CHECK_MSG(lo_ == other.lo_ && base_ == other.base_ &&
-                      counts_.size() == other.counts_.size(),
-                  "LogHistogram::merge geometry mismatch");
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  total_ += other.total_;
 }
 
 std::string LogHistogram::render(const std::string& label,

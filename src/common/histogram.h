@@ -29,10 +29,6 @@ class Histogram {
   std::string render(const std::string& label, const std::string& unit,
                      std::size_t bar_width = 50) const;
 
-  /// Adds another histogram's samples into this one. Both must share the
-  /// exact geometry (lo, hi, bin count) — checked.
-  void merge(const Histogram& other);
-
  private:
   double lo_;
   double hi_;
@@ -58,10 +54,6 @@ class LogHistogram {
 
   std::string render(const std::string& label, const std::string& unit,
                      std::size_t bar_width = 50) const;
-
-  /// Adds another histogram's samples into this one. Both must share the
-  /// exact geometry (lo, base, bin count) — checked.
-  void merge(const LogHistogram& other);
 
  private:
   double lo_;

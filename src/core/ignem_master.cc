@@ -204,8 +204,20 @@ void IgnemMaster::send_migrate_batches(
     ++stats_.batches_sent;
     auto deliver = [this, target, batch = std::move(batch)] {
       if (failed_) return;
+      // A command whose migration the master has since moved off `target`
+      // (reroute after a declared death or a corrupt replica, job-end
+      // evict, master restart) is stale: its reference would pin a copy no
+      // evict ever reaches. Routed retries can land seconds late.
+      std::vector<PendingMigration> live;
+      live.reserve(batch.size());
+      for (const PendingMigration& command : batch) {
+        if (is_target(command.job, command.block, target)) {
+          live.push_back(command);
+        }
+      }
+      if (live.empty()) return;
       slaves_[static_cast<std::size_t>(target.value())]
-          ->handle_migrate_batch(batch);
+          ->handle_migrate_batch(live);
     };
     if (router_ == nullptr) {
       sim_.schedule(config_.rpc_latency, std::move(deliver), EventClass::kRpc);
@@ -255,10 +267,7 @@ void IgnemMaster::on_node_rejoin(NodeId node) {
         IgnemSlave* slave = slaves_[static_cast<std::size_t>(node.value())];
         std::map<JobId, std::vector<BlockId>> evict;
         for (const auto& [block, job] : slave->tracked_references()) {
-          const auto it = chosen_.find({job, block});
-          if (it != chosen_.end() &&
-              std::find(it->second.begin(), it->second.end(), node) !=
-                  it->second.end()) {
+          if (is_target(job, block, node)) {
             // Still the chosen target: the cached copy is simply back.
             ++stats_.rejoin_reclaimed;
             continue;
@@ -290,6 +299,13 @@ void IgnemMaster::on_node_rejoin(NodeId node) {
   // still-partitioned rejoin will be reported again at the next one.
   router_->call(node, router_->control_node(), std::move(exchange),
                 [this](RpcOutcome) { ++stats_.rpc_batches_lost; });
+}
+
+bool IgnemMaster::is_target(JobId job, BlockId block, NodeId node) const {
+  const auto it = chosen_.find({job, block});
+  return it != chosen_.end() &&
+         std::find(it->second.begin(), it->second.end(), node) !=
+             it->second.end();
 }
 
 NodeId IgnemMaster::chosen_replica(JobId job, BlockId block) const {

@@ -110,7 +110,10 @@ class IgnemMaster : public MigrationService {
   bool reroute_away(const std::pair<JobId, BlockId>& key,
                     std::vector<NodeId>& targets, NodeId away,
                     std::map<NodeId, std::vector<PendingMigration>>& batches);
-  /// Ships each per-slave batch after one RPC latency.
+  /// True when `node` is one of the chosen targets of (job, block).
+  bool is_target(JobId job, BlockId block, NodeId node) const;
+  /// Ships each per-slave batch after one RPC latency; on delivery, drops
+  /// the commands whose target is no longer chosen (see is_target).
   void send_migrate_batches(
       std::map<NodeId, std::vector<PendingMigration>>& batches);
   /// Ships one eviction batch; in routed mode an undeliverable batch is

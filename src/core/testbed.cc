@@ -44,45 +44,26 @@ Testbed::Testbed(TestbedConfig config)
                                          config_.block_size,
                                          config_.rack_count);
   namenode_->set_trace(trace_.get());
-  const DeviceProfile primary =
-      config_.primary_profile.value_or(profile_for(config_.storage_media));
-  // An explicit two-tier stack under UpwardOnHeat is bit-identical to the
-  // legacy layout, so tier events only join the stream when the hierarchy
-  // or the policy actually diverges from it.
-  const bool tiered = !config_.tiering.tiers.empty();
-  const bool emit_tier_events =
-      tiered && (config_.tiering.tiers.size() > 2 ||
-                 config_.tiering.policy != TierPolicyKind::kUpwardOnHeat);
-  if (tiered) {
-    tier_policy_ = make_tier_policy(config_.tiering.policy,
-                                    config_.tiering.cold_after);
-  }
+  const std::vector<TierSpec> tiers = tier_specs();
+  tier_policy_ =
+      make_tier_policy(config_.tiering.policy, config_.tiering.cold_after);
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId id(static_cast<std::int64_t>(i));
-    if (tiered) {
-      datanodes_.push_back(std::make_unique<DataNode>(
-          sim_, id, config_.tiering.tiers, rng_.fork(100 + i)));
-    } else {
-      datanodes_.push_back(std::make_unique<DataNode>(
-          sim_, id, primary, config_.cache_capacity_per_node,
-          rng_.fork(100 + i)));
-    }
-    if (tier_policy_ != nullptr) {
-      datanodes_.back()->set_migration_policy(tier_policy_.get());
-    }
+    datanodes_.push_back(
+        std::make_unique<DataNode>(sim_, id, tiers, rng_.fork(100 + i)));
+    datanodes_.back()->set_migration_policy(*tier_policy_);
     datanodes_.back()->set_checksum_cost(
         config_.integrity.checksum_cost_per_gib);
-    datanodes_.back()->set_trace(trace_.get(), emit_tier_events);
+    datanodes_.back()->set_trace(trace_.get());
     namenode_->register_datanode(datanodes_.back().get());
   }
-  if (tiered && config_.tiering.policy == TierPolicyKind::kDownwardOnCold &&
+  if (config_.tiering.policy == TierPolicyKind::kDownwardOnCold &&
       config_.tiering.age_check_period > Duration::zero()) {
     for (const auto& dn : datanodes_) {
       DataNode* raw = dn.get();
       age_tasks_.push_back(std::make_unique<PeriodicTask>(
-          sim_, config_.tiering.age_check_period, [this, raw] {
-            raw->age_victim_copies(config_.tiering.cold_after);
-          }));
+          sim_, config_.tiering.age_check_period,
+          [raw] { raw->age_victim_copies(); }));
     }
   }
 
@@ -340,29 +321,13 @@ void Testbed::sample_memory() {
     sample.locked_bytes = dn->cache().used();
     metrics_.add_memory_sample(sample);
     total_locked += sample.locked_bytes;
-    if (!dn->tiering_active()) {
-      // Legacy layout: the RAM pool over the home device is "tier 0".
-      auto& [used, cap] = tier_usage[0];
-      used += dn->cache().used();
-      cap += dn->cache().capacity();
-      continue;
-    }
+    // Pool tiers only: the home tier holds no copies, so its occupancy
+    // would always read 0.
     const TierHierarchy& tiers = dn->tiers();
-    for (std::size_t t = 0; t < tiers.tier_count(); ++t) {
-      TierSample ts;
-      ts.node = dn->id();
-      ts.when = sim_.now();
-      ts.tier = t;
-      ts.used = t == tiers.home_tier() ? 0 : tiers.pool(t).used();
-      ts.capacity = tiers.spec(t).capacity;
-      const TierStats& stats = tiers.stats(t);
-      ts.reads = stats.reads;
-      ts.promotes_in = stats.promotes_in;
-      ts.demotes_in = stats.demotes_in;
-      metrics_.add_tier_sample(ts);
+    for (std::size_t t = 0; t < tiers.home_tier(); ++t) {
       auto& [used, cap] = tier_usage[t];
-      used += ts.used;
-      cap += ts.capacity;
+      used += tiers.pool(t).used();
+      cap += tiers.pool(t).capacity();
     }
   }
   for (const auto& slave : slaves_) total_queue_depth += slave->queue_depth();
@@ -754,16 +719,23 @@ bool Testbed::run_workload_to(std::vector<ScheduledJob> jobs,
 
 ConfigFingerprint Testbed::fingerprint() const {
   ConfigFingerprint fp;
-  fp.seed = config_.seed;
-  fp.nodes = static_cast<int>(datanodes_.size());
-  fp.replication = config_.replication;
-  fp.storage_media = media_name(config_.storage_media);
-  fp.tier_policy = config_.tiering.tiers.empty()
-                       ? "legacy"
-                       : tier_policy_name(config_.tiering.policy);
-  fp.tier_count = static_cast<int>(tier_specs().size());
-  fp.fault_tolerance = config_.fault_tolerance;
-  fp.scrubber = config_.integrity.enable_scrubber;
+  fp.add_int("seed", static_cast<std::int64_t>(config_.seed));
+  fp.add_int("nodes", static_cast<std::int64_t>(datanodes_.size()));
+  fp.add_int("rack_count", config_.rack_count);
+  fp.add_int("replication", config_.replication);
+  fp.add_int("block_size", config_.block_size);
+  fp.add_string("storage_media", media_name(config_.storage_media));
+  fp.add_int("cache_capacity_per_node", config_.cache_capacity_per_node);
+  fp.add_string("tier_policy", tier_policy_->name());
+  fp.add_int("tier_count", static_cast<std::int64_t>(tier_specs().size()));
+  fp.add_bool("fault_tolerance", config_.fault_tolerance);
+  fp.add_double("detector.suspicion_grace",
+                config_.detector.suspicion_grace.to_seconds());
+  fp.add_double("replication_rate_limit", config_.replication_rate_limit);
+  fp.add_bool("control_plane.routed", config_.control_plane.routed);
+  fp.add_bool("control_plane.sever_transfers",
+              config_.control_plane.sever_transfers);
+  fp.add_bool("scrubber", config_.integrity.enable_scrubber);
   return fp;
 }
 
@@ -889,22 +861,17 @@ RunReport Testbed::build_run_report(const std::string& name) {
   }
 
   std::uint64_t promotes = 0, demotes = 0, drops = 0, from_home = 0;
-  bool any_tiered = false;
   for (const auto& dn : datanodes_) {
-    if (!dn->tiering_active()) continue;
-    any_tiered = true;
     const TierHierarchy& tiers = dn->tiers();
     promotes += tiers.total_promotes();
     demotes += tiers.total_demotes();
     drops += tiers.drops_to_home();
     from_home += tiers.promotes_from_home();
   }
-  if (any_tiered) {
-    registry_.counter("tier.promotes").set(promotes);
-    registry_.counter("tier.demotes").set(demotes);
-    registry_.counter("tier.drops_to_home").set(drops);
-    registry_.counter("tier.promotes_from_home").set(from_home);
-  }
+  registry_.counter("tier.promotes").set(promotes);
+  registry_.counter("tier.demotes").set(demotes);
+  registry_.counter("tier.drops_to_home").set(drops);
+  registry_.counter("tier.promotes_from_home").set(from_home);
 
   report.summary.emplace_back("jobs",
                               static_cast<double>(metrics_.jobs().size()));

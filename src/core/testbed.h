@@ -58,14 +58,12 @@ enum class RunMode {
 
 const char* run_mode_name(RunMode mode);
 
-/// Opt-in N-tier storage configuration. An empty tier stack keeps the
-/// legacy two-tier layout (RAM locked pool over the primary device), which
-/// is bit-identical to the pre-TierHierarchy testbed; an explicit two-tier
-/// stack with the UpwardOnHeat policy is bit-identical too (the
-/// differential regression tests pin both).
+/// Storage hierarchy and migration policy of every node. The default is
+/// the paper's two-tier layout (RAM locked pool over the primary device)
+/// under UpwardOnHeat.
 struct TieringConfig {
   /// Tier stack, fastest first, home tier (capacity 0) last. Empty = the
-  /// legacy layout built from storage_media + cache_capacity_per_node.
+  /// two-tier layout built from storage_media + cache_capacity_per_node.
   std::vector<TierSpec> tiers;
   TierPolicyKind policy = TierPolicyKind::kUpwardOnHeat;
   /// DownwardOnCold: a victim copy idle this long ages one tier down.
@@ -261,9 +259,9 @@ class Testbed : public FaultTarget {
   const TestbedConfig& config() const { return config_; }
 
   /// The per-node tier hierarchy this run models: the explicit
-  /// config.tiering.tiers when set, otherwise the implicit two-tier stack
-  /// (RAM pool over the primary device) every legacy run uses. Feeds the
-  /// tier-cost summary (write_tier_cost_csv) in bench reports.
+  /// config.tiering.tiers when set, otherwise two_tier_specs() (RAM pool
+  /// over the primary device). Every DataNode is built from it; it also
+  /// feeds the tier-cost summary (write_tier_cost_csv) in bench reports.
   std::vector<TierSpec> tier_specs() const {
     if (!config_.tiering.tiers.empty()) return config_.tiering.tiers;
     return two_tier_specs(
@@ -346,7 +344,7 @@ class Testbed : public FaultTarget {
   std::unique_ptr<InstantMigrationService> instant_;
   std::vector<std::unique_ptr<HotDataPromoter>> promoters_;
   std::unique_ptr<PeriodicTask> memory_sampler_;
-  /// Shared tier-migration decision object (null in the legacy layout).
+  /// Shared tier-migration decision object (config.tiering.policy).
   std::unique_ptr<MigrationPolicy> tier_policy_;
   /// Per-node DownwardOnCold ageing sweeps.
   std::vector<std::unique_ptr<PeriodicTask>> age_tasks_;

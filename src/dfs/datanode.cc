@@ -8,20 +8,15 @@
 
 namespace ignem {
 
-DataNode::DataNode(Simulator& sim, NodeId id, DeviceProfile primary_profile,
-                   Bytes cache_capacity, Rng rng)
-    : DataNode(sim, id, two_tier_specs(primary_profile, cache_capacity),
-               rng) {}
-
 DataNode::DataNode(Simulator& sim, NodeId id, std::vector<TierSpec> tiers,
                    Rng rng)
     : sim_(sim),
       id_(id),
       tiers_(sim, "dn" + std::to_string(id.value()), std::move(tiers), rng) {}
 
-void DataNode::set_trace(TraceRecorder* trace, bool emit_tier_events) {
+void DataNode::set_trace(TraceRecorder* trace) {
   trace_ = trace;
-  tiers_.set_trace(trace, id_, emit_tier_events);
+  tiers_.set_trace(trace, id_);
 }
 
 namespace {
@@ -115,7 +110,7 @@ void DataNode::remove_block(BlockId block) {
   abort_pending_reads(&primary_device(), block);
   // Victim-tier copies lost their durable parent; drop them. The tier-0
   // copy is owned by the migration plane and purged through it.
-  if (tiers_.tier_count() > 2) purge_victim_copies(block);
+  purge_victim_copies(block);
 }
 
 void DataNode::corrupt_block(BlockId block) {
@@ -267,7 +262,7 @@ void DataNode::verify_block(BlockId block, ReadCallback on_complete) {
 }
 
 void DataNode::scrub_promoted_copies(BlockId block) {
-  if (!tiering_active() || !alive_) return;
+  if (!alive_) return;
   for (std::size_t t = 0; t < tiers_.home_tier(); ++t) {
     const BufferCache& pool = tiers_.pool(t);
     if (!pool.contains(block) || !pool.is_corrupt(block)) continue;
@@ -280,7 +275,7 @@ void DataNode::write(Bytes bytes, std::function<void()> on_complete) {
     sim_.schedule(Duration::zero(), std::move(on_complete));
     return;
   }
-  if (policy_ != nullptr && policy_->buffer_writes() &&
+  if (policy_->buffer_writes() &&
       tiers_.pool(0).available() >= bytes && tiers_.pool(0).reserve(bytes)) {
     // The burst is absorbed at fast-tier speed; the caller continues as
     // soon as the fast write lands, while the data drains to the home
@@ -318,7 +313,7 @@ bool DataNode::release_copy(BlockId block, std::size_t tier, Bytes bytes,
   const bool corrupt = pool.is_corrupt(block);
   pool.unlock(block);
   std::size_t dst = home;
-  if (allow_demote && alive_ && !corrupt && policy_ != nullptr) {
+  if (allow_demote && alive_ && !corrupt) {
     dst = std::min(policy_->demotion_target(tiers_, tier), home);
     if (dst <= tier) dst = home;
   }
@@ -347,9 +342,8 @@ bool DataNode::demote_victim(BlockId block, std::size_t from) {
                       /*allow_demote=*/true);
 }
 
-std::size_t DataNode::age_victim_copies(Duration cold_after) {
-  if (!alive_ || policy_ == nullptr) return 0;
-  (void)cold_after;
+std::size_t DataNode::age_victim_copies() {
+  if (!alive_) return 0;
   std::size_t demoted = 0;
   const SimTime now = sim_.now();
   for (std::size_t t = 1; t < tiers_.home_tier(); ++t) {

@@ -1,15 +1,15 @@
 // DataNode: per-node block storage and the read path.
 //
-// Owns the node's storage TierHierarchy — in the legacy layout a RAM
-// locked-page pool (tier 0) over the primary device (the home tier), in
-// general an ordered stack of bounded copy pools over an unbounded home
-// tier. Reads resolve through the hierarchy: the fastest tier holding a
-// copy serves the block. A MigrationPolicy (shared, owned by the Testbed)
-// decides where promoted copies land, where released copies are demoted
-// to, and whether job-output writes are buffered in the fast tier. The
-// Ignem slave (core module) plugs into the DataNode via the tier/device
-// accessors and the BlockReadListener hook (used for implicit eviction,
-// §III-B2).
+// Owns the node's storage TierHierarchy — by default a RAM locked-page
+// pool (tier 0) over the primary device (the home tier), in general an
+// ordered stack of bounded copy pools over an unbounded home tier. Reads
+// resolve through the hierarchy: the fastest tier holding a copy serves
+// the block. A MigrationPolicy (shared; UpwardOnHeat unless the Testbed
+// sets another) decides where promoted copies land, where released copies
+// are demoted to, and whether job-output writes are buffered in the fast
+// tier. The Ignem slave (core module) plugs into the DataNode via the
+// tier/device accessors and the BlockReadListener hook (used for implicit
+// eviction, §III-B2).
 #pragma once
 
 #include <cstdint>
@@ -62,12 +62,8 @@ class DataNode {
   using CorruptionReporter =
       std::function<void(NodeId, BlockId, bool, CorruptionSource)>;
 
-  /// Legacy two-tier layout: a RAM locked pool of `cache_capacity` over the
-  /// primary device. Bit-identical to the pre-TierHierarchy DataNode.
-  DataNode(Simulator& sim, NodeId id, DeviceProfile primary_profile,
-           Bytes cache_capacity, Rng rng);
-
-  /// General N-tier layout; `tiers` ordered fastest to home (last).
+  /// `tiers` ordered fastest to home (last); two_tier_specs() builds the
+  /// paper's RAM-pool-over-disk layout.
   DataNode(Simulator& sim, NodeId id, std::vector<TierSpec> tiers, Rng rng);
 
   DataNode(const DataNode&) = delete;
@@ -140,8 +136,7 @@ class DataNode {
 
   /// Per-tier scrub extension: checksums any promoted copy of `block` the
   /// node holds (tier 0 and victim tiers alike) and reports cached-copy
-  /// corruption. Only active with a tier hierarchy (≥3 tiers or an
-  /// explicit policy), so legacy traces and stats are untouched.
+  /// corruption. Emits nothing for clean copies.
   void scrub_promoted_copies(BlockId block);
 
   /// Writes `bytes` of job output. With a WriteBuffer policy and fast-tier
@@ -165,9 +160,10 @@ class DataNode {
   /// dropped to home.
   bool demote_victim(BlockId block, std::size_t from);
 
-  /// Ages every victim-tier copy idle since before `cold_after` ago one
-  /// tier further down. Returns the number of copies demoted or dropped.
-  std::size_t age_victim_copies(Duration cold_after);
+  /// Ages every victim-tier copy the policy calls cold (demote_when_idle)
+  /// one tier further down. Returns the number of copies demoted or
+  /// dropped.
+  std::size_t age_victim_copies();
 
   /// Drops any victim-tier (tiers 1..home-1) copies of `block` (integrity
   /// purge). Returns true when a copy was dropped.
@@ -187,8 +183,8 @@ class DataNode {
 
   TierHierarchy& tiers() { return tiers_; }
   const TierHierarchy& tiers() const { return tiers_; }
-  /// Legacy accessors: the home device, the fastest device, and tier 0's
-  /// pool (the paper's locked-page cache).
+  /// Shorthands: the home device, the fastest device, and tier 0's pool
+  /// (the paper's locked-page cache).
   StorageDevice& primary_device() { return tiers_.device(tiers_.home_tier()); }
   StorageDevice& ram_device() { return tiers_.device(0); }
   BufferCache& cache() { return tiers_.pool(0); }
@@ -198,19 +194,14 @@ class DataNode {
     return tiers_.has_promoted_copy(block);
   }
 
-  /// Decision object for promotion/demotion/write routing; null (the
-  /// default) behaves exactly like UpwardOnHeat — the legacy simulator.
-  void set_migration_policy(const MigrationPolicy* policy) {
-    policy_ = policy;
+  /// Decision object for promotion/demotion/write routing (default:
+  /// upward_on_heat_policy()); must outlive the node.
+  void set_migration_policy(const MigrationPolicy& policy) {
+    policy_ = &policy;
   }
-  const MigrationPolicy* migration_policy() const { return policy_; }
-  /// Tier a master-commanded migration should land in (0 without policy).
+  /// Tier a master-commanded migration should land in.
   std::size_t promotion_tier() const {
-    return policy_ == nullptr ? 0 : policy_->promotion_tier(tiers_);
-  }
-  /// True when the N-tier machinery (tier events, per-tier scrubs) is on.
-  bool tiering_active() const {
-    return policy_ != nullptr || tiers_.tier_count() > 2;
+    return policy_->promotion_tier(tiers_);
   }
 
   void set_read_listener(BlockReadListener* listener) { listener_ = listener; }
@@ -223,10 +214,9 @@ class DataNode {
   void report_corruption(BlockId block, bool cached, CorruptionSource source);
 
   /// Emits kReplicaAdd, kBlockReadStart/End, and kCacheHit/Miss; also wires
-  /// the node's tier devices and tier-0 pool into the same recorder. With
-  /// `emit_tier_events`, kTierInit/kTierPromote/kTierDemote join the
-  /// stream (never set in the legacy two-tier configuration).
-  void set_trace(TraceRecorder* trace, bool emit_tier_events = false);
+  /// the node's TierHierarchy (devices, tier-0 pool, kTier* events) into
+  /// the same recorder.
+  void set_trace(TraceRecorder* trace);
 
  private:
   /// Aborts in-flight reads (all of them, or only those on `device`, or
@@ -257,7 +247,7 @@ class DataNode {
   TraceRecorder* trace_ = nullptr;
   NodeId id_;
   TierHierarchy tiers_;
-  const MigrationPolicy* policy_ = nullptr;
+  const MigrationPolicy* policy_ = &upward_on_heat_policy();  // never null
   // Stored replicas, ascending by block id. Files are created with
   // ascending block ids, so setup only appends; a repair copy of an older
   // block inserts in place.

@@ -249,6 +249,14 @@ void ReplicationManager::start_copy(BlockId block, NodeId source,
 
 void ReplicationManager::do_start_copy(BlockId block, NodeId source,
                                        NodeId target, Bytes bytes) {
+  // A delayed order (limiter wait, routed retries) can land after the
+  // NameNode stopped listing the source — declared dead or marked
+  // corrupt. Its replica no longer counts, so choose again.
+  const std::vector<NodeId> live = namenode_.live_locations(block);
+  if (std::find(live.begin(), live.end(), source) == live.end()) {
+    retry_later(block);
+    return;
+  }
   if (trace_ != nullptr) {
     trace_->emit(TraceEventType::kRepairStart, source, block,
                  JobId::invalid(), bytes, target.value());

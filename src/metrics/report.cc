@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 namespace ignem {
 
@@ -86,34 +85,41 @@ std::string json_quote(const std::string& s) {
   return out;
 }
 
+void ConfigFingerprint::add_int(std::string key, std::int64_t value) {
+  fields.push_back({std::move(key), std::to_string(value)});
+}
+
+void ConfigFingerprint::add_double(std::string key, double value) {
+  fields.push_back({std::move(key), format_json_double(value)});
+}
+
+void ConfigFingerprint::add_bool(std::string key, bool value) {
+  fields.push_back({std::move(key), bool_json(value)});
+}
+
+void ConfigFingerprint::add_string(std::string key, const std::string& value) {
+  fields.push_back({std::move(key), json_quote(value)});
+}
+
 std::string ConfigFingerprint::canonical() const {
-  std::ostringstream os;
-  os << "fault_tolerance=" << bool_json(fault_tolerance)
-     << " nodes=" << nodes << " replication=" << replication
-     << " scrubber=" << bool_json(scrubber) << " seed=" << seed
-     << " storage_media=" << storage_media << " tier_count=" << tier_count
-     << " tier_policy=" << tier_policy;
-  return os.str();
+  std::string text;
+  for (const Field& f : fields) {
+    if (!text.empty()) text += ' ';
+    text += f.key + '=' + f.json;
+  }
+  return text;
 }
 
 std::uint64_t ConfigFingerprint::hash() const { return fnv1a(canonical()); }
 
 void ConfigFingerprint::write_json(std::ostream& os, int indent) const {
   os << "{\n";
-  const auto field = [&](const char* key, const std::string& value,
-                         bool last = false) {
+  for (const Field& f : fields) {
     pad(os, indent + 2);
-    os << '"' << key << "\": " << value << (last ? "\n" : ",\n");
-  };
-  field("seed", std::to_string(seed));
-  field("nodes", std::to_string(nodes));
-  field("replication", std::to_string(replication));
-  field("storage_media", json_quote(storage_media));
-  field("tier_policy", json_quote(tier_policy));
-  field("tier_count", std::to_string(tier_count));
-  field("fault_tolerance", bool_json(fault_tolerance));
-  field("scrubber", bool_json(scrubber));
-  field("hash", json_quote(hex64(hash())), /*last=*/true);
+    os << json_quote(f.key) << ": " << f.json << ",\n";
+  }
+  pad(os, indent + 2);
+  os << "\"hash\": " << json_quote(hex64(hash())) << '\n';
   pad(os, indent);
   os << '}';
 }

@@ -25,26 +25,35 @@
 namespace ignem {
 
 /// Identifies the knobs that shape a run's event stream: cluster shape,
-/// seed, and storage/tiering/fault configuration. Stamped into every
-/// RunReport and BENCH_*.json so a result can never be compared against the
-/// wrong configuration silently.
+/// seed, and storage/tiering/fault/control-plane configuration. Stamped
+/// into every RunReport and BENCH_*.json so a result can never be compared
+/// against the wrong configuration silently.
+///
+/// One ordered key/value list is the whole object: the canonical text, the
+/// JSON and the hash all walk it, so a field added once appears in all
+/// three. Testbed::fingerprint() fills it.
 struct ConfigFingerprint {
-  std::uint64_t seed = 0;
-  int nodes = 0;
-  int replication = 0;
-  std::string storage_media;             ///< media_name() of the primary.
-  std::string tier_policy;               ///< tier_policy_name(); "" = legacy.
-  int tier_count = 0;
-  bool fault_tolerance = false;
-  bool scrubber = false;
+  /// One knob: its key and its value as a JSON token (numbers and booleans
+  /// bare, strings quoted).
+  struct Field {
+    std::string key;
+    std::string json;
+  };
+  std::vector<Field> fields;
 
-  /// FNV-1a over the canonical field serialization; equal fingerprints hash
-  /// equal, and the hash survives into artifacts that drop the full object.
+  void add_int(std::string key, std::int64_t value);
+  void add_double(std::string key, double value);
+  void add_bool(std::string key, bool value);
+  void add_string(std::string key, const std::string& value);
+
+  /// FNV-1a over the canonical text; equal fingerprints hash equal, and the
+  /// hash survives into artifacts that drop the full object.
   std::uint64_t hash() const;
 
-  /// Canonical "k=v k=v ..." form (sorted, stable) — the hashed text.
+  /// Canonical "k=v k=v ..." form in field order — the hashed text.
   std::string canonical() const;
 
+  /// Every field in order, then "hash".
   void write_json(std::ostream& os, int indent) const;
 };
 

@@ -55,7 +55,6 @@ void RunMetrics::clear() {
   tasks_.clear();
   jobs_.clear();
   memory_samples_.clear();
-  tier_samples_.clear();
 }
 
 }  // namespace ignem

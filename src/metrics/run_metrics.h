@@ -66,20 +66,6 @@ struct MemorySample {
   Bytes locked_bytes = 0;
 };
 
-/// Periodic sample of one storage tier on one node (N-tier runs only).
-/// Counters are cumulative since run start; occupancy = used / capacity
-/// (the home tier samples with used = capacity = 0).
-struct TierSample {
-  NodeId node;
-  SimTime when;
-  std::size_t tier = 0;
-  Bytes used = 0;
-  Bytes capacity = 0;
-  std::uint64_t reads = 0;        ///< Block reads this tier has served.
-  std::uint64_t promotes_in = 0;  ///< Copies that landed here from below.
-  std::uint64_t demotes_in = 0;   ///< Copies that landed here from above.
-};
-
 class RunMetrics {
  public:
   void add_block_read(const BlockReadRecord& r) { block_reads_.push_back(r); }
@@ -89,13 +75,11 @@ class RunMetrics {
   void add_memory_sample(const MemorySample& s) {
     if (s.locked_bytes > 0) memory_samples_.push_back(s);
   }
-  void add_tier_sample(const TierSample& s) { tier_samples_.push_back(s); }
 
   const std::deque<BlockReadRecord>& block_reads() const { return block_reads_; }
   const std::deque<TaskRecord>& tasks() const { return tasks_; }
   const std::vector<JobRecord>& jobs() const { return jobs_; }
   const std::deque<MemorySample>& memory_samples() const { return memory_samples_; }
-  const std::vector<TierSample>& tier_samples() const { return tier_samples_; }
 
   /// Convenience aggregates used by many benches.
   Samples job_durations_seconds() const;
@@ -115,7 +99,6 @@ class RunMetrics {
   std::deque<TaskRecord> tasks_;
   std::vector<JobRecord> jobs_;
   std::deque<MemorySample> memory_samples_;
-  std::vector<TierSample> tier_samples_;
 };
 
 }  // namespace ignem

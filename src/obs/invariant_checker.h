@@ -191,8 +191,8 @@ class HotPromotionRule : public InvariantRule {
   std::map<std::pair<NodeId, BlockId>, std::int64_t> reads_;
 };
 
-/// Tier hierarchy (armed runs only — the legacy two-tier configuration
-/// emits no kTier* events): a block holds at most one pool-tier copy per
+/// Tier hierarchy (stacks with a victim tier only — two-tier stacks emit
+/// no kTier* events): a block holds at most one pool-tier copy per
 /// node, every kTierPromote/kTierDemote moves the copy from the tier it is
 /// actually resident in, and per-tier occupancy derived from those moves
 /// never exceeds the capacity announced by kTierInit. Byte-level

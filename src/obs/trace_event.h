@@ -98,9 +98,8 @@ enum class TraceEventType : std::uint8_t {
                         ///< 1 scrub, 2 migration), value = 1 if cached copy.
   kReplicaInvalidate,   ///< NameNode dropped a corrupt replica from the
                         ///< namespace; bytes = block size.
-  // Tier hierarchy (src/storage). Emitted only when tier events are armed
-  // (≥3 tiers or a non-legacy policy), so legacy two-tier trace hashes are
-  // unaffected.
+  // Tier hierarchy (src/storage). Emitted only by stacks with a victim
+  // tier (≥3 tiers); two-tier moves are the kCache* stream of tier 0.
   kTierInit,            ///< one per tier at wiring; bytes = capacity
                         ///< (0 = unbounded home tier), detail = tier index.
   kTierPromote,         ///< copy moved to a faster tier; bytes = copy size,

@@ -2,13 +2,9 @@
 
 namespace ignem {
 
-const char* tier_policy_name(TierPolicyKind kind) {
-  switch (kind) {
-    case TierPolicyKind::kUpwardOnHeat: return "upward-on-heat";
-    case TierPolicyKind::kDownwardOnCold: return "downward-on-cold";
-    case TierPolicyKind::kWriteBuffer: return "write-buffer";
-  }
-  return "?";
+const MigrationPolicy& upward_on_heat_policy() {
+  static const UpwardOnHeatPolicy policy;
+  return policy;
 }
 
 std::unique_ptr<MigrationPolicy> make_tier_policy(TierPolicyKind kind,

@@ -8,8 +8,7 @@
 //   UpwardOnHeat   the paper's Ignem behaviour, reproduced exactly —
 //                  promote to the fastest tier on master command, drop
 //                  evicted copies (the home replica persists), never
-//                  buffer writes. With two tiers this *is* the legacy
-//                  simulator, bit for bit.
+//                  buffer writes. Every DataNode starts under it.
 //   DownwardOnCold demotion/archival — an evicted or idle copy cascades
 //                  one tier down instead of vanishing, ageing out of the
 //                  hierarchy tier by tier (victim-cache style).
@@ -30,8 +29,6 @@ enum class TierPolicyKind {
   kDownwardOnCold,
   kWriteBuffer,
 };
-
-const char* tier_policy_name(TierPolicyKind kind);
 
 class MigrationPolicy {
  public:
@@ -69,6 +66,10 @@ class UpwardOnHeatPolicy : public MigrationPolicy {
  public:
   const char* name() const override { return "upward-on-heat"; }
 };
+
+/// The shared UpwardOnHeat instance a DataNode uses until a testbed hands
+/// it another policy.
+const MigrationPolicy& upward_on_heat_policy();
 
 class DownwardOnColdPolicy : public MigrationPolicy {
  public:

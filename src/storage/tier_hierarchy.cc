@@ -30,7 +30,7 @@ TierSpec tape_home_tier() {
 
 std::vector<TierSpec> two_tier_specs(const DeviceProfile& primary,
                                      Bytes cache_capacity) {
-  // Names match the legacy device names ("dnN/ram", "dnN/primary").
+  // Device names "dnN/ram" and "dnN/primary".
   std::vector<TierSpec> specs;
   specs.push_back(TierSpec{"ram", ram_profile(), cache_capacity, 10.0});
   specs.push_back(TierSpec{"primary", primary, 0, 0.05});
@@ -47,9 +47,9 @@ TierHierarchy::TierHierarchy(Simulator& sim, const std::string& base_name,
   for (std::size_t t = 0; t < specs.size(); ++t) {
     Tier tier;
     tier.spec = std::move(specs[t]);
-    // Stream ids 1 (home) and 2 (tier 0) reproduce the legacy
-    // primary/ram fork order; Rng::fork is order-independent, so middle
-    // tiers can take fresh streams without perturbing those two.
+    // Stream ids 1 (home) and 2 (tier 0) are fixed; Rng::fork is
+    // order-independent, so middle tiers can take fresh streams without
+    // perturbing those two.
     const std::uint64_t stream = t == home ? 1 : t == 0 ? 2 : 10 + t;
     tier.device = std::make_unique<StorageDevice>(
         sim, base_name + "/" + tier.spec.name, tier.spec.profile,
@@ -95,20 +95,17 @@ std::size_t TierHierarchy::pool_corrupt_count() const {
   return count;
 }
 
-void TierHierarchy::set_trace(TraceRecorder* trace, NodeId node,
-                              bool emit_tier_events) {
-  trace_ = trace;
+void TierHierarchy::set_trace(TraceRecorder* trace, NodeId node) {
+  tier_trace_ = tiers_.size() > 2 ? trace : nullptr;
   node_ = node;
-  emit_tier_events_ = emit_tier_events;
   for (auto& tier : tiers_) tier.device->set_trace(trace, node);
-  // Only tier 0 joins the kCache* stream: one kCacheInit per node, exactly
-  // as the legacy layout emitted.
+  // Only tier 0 joins the kCache* stream: one kCacheInit per node.
   tiers_[0].pool->set_trace(trace, node);
-  if (trace_ != nullptr && emit_tier_events_) {
+  if (tier_trace_ != nullptr) {
     for (std::size_t t = 0; t < tiers_.size(); ++t) {
-      trace_->emit(TraceEventType::kTierInit, node_, BlockId::invalid(),
-                   JobId::invalid(), tiers_[t].spec.capacity,
-                   static_cast<std::int64_t>(t));
+      tier_trace_->emit(TraceEventType::kTierInit, node_, BlockId::invalid(),
+                        JobId::invalid(), tiers_[t].spec.capacity,
+                        static_cast<std::int64_t>(t));
     }
   }
 }
@@ -119,10 +116,10 @@ void TierHierarchy::note_promote(std::size_t from, std::size_t to,
   ++promotes_;
   ++tiers_[to].stats.promotes_in;
   if (from == home_tier()) ++promotes_from_home_;
-  if (trace_ != nullptr && emit_tier_events_) {
-    trace_->emit(TraceEventType::kTierPromote, node_, block, JobId::invalid(),
-                 bytes,
-                 static_cast<std::int64_t>((from << 8) | to));
+  if (tier_trace_ != nullptr) {
+    tier_trace_->emit(TraceEventType::kTierPromote, node_, block,
+                      JobId::invalid(), bytes,
+                      static_cast<std::int64_t>((from << 8) | to));
   }
 }
 
@@ -138,10 +135,10 @@ void TierHierarchy::note_demote(std::size_t from, std::size_t to,
   } else {
     ++tiers_[to].stats.demotes_in;
   }
-  if (trace_ != nullptr && emit_tier_events_) {
-    trace_->emit(TraceEventType::kTierDemote, node_, block, JobId::invalid(),
-                 bytes,
-                 static_cast<std::int64_t>((from << 8) | to));
+  if (tier_trace_ != nullptr) {
+    tier_trace_->emit(TraceEventType::kTierDemote, node_, block,
+                      JobId::invalid(), bytes,
+                      static_cast<std::int64_t>((from << 8) | to));
   }
 }
 

@@ -5,12 +5,13 @@
 // migration machinery and the observability plane share: which tier serves
 // a block, how many copies moved up or down, and per-tier read counters.
 //
-// Trace wiring is deliberately asymmetric: only tier 0's pool joins the
-// kCache* event stream (the CacheCapacityRule is keyed per node, and the
-// legacy two-tier traces must stay bit-identical), while tier moves are
-// reported through the dedicated kTierInit/kTierPromote/kTierDemote events
-// — emitted only when `emit_tier_events` is set, i.e. never in the legacy
-// two-tier configuration.
+// Trace wiring: only tier 0's pool joins the kCache* event stream (the
+// CacheCapacityRule is keyed per node). Moves between pools are reported
+// through kTierInit/kTierPromote/kTierDemote, and only when the stack has a
+// victim tier (tier_count() > 2). With two tiers every move is tier 0 <->
+// home, which the kCacheCommit/kCacheUnlock stream of tier 0 already
+// records, so tier events would repeat those facts and leave the
+// TierResidencyRule nothing to check.
 #pragma once
 
 #include <cstdint>
@@ -37,9 +38,8 @@ class TierHierarchy {
  public:
   /// `specs` ordered fastest to slowest; the last entry is the home tier
   /// (capacity 0, no pool), every other entry needs a positive capacity.
-  /// RNG streams: the home device forks stream 1 and tier 0 forks stream 2
-  /// — matching the legacy primary/ram fork order so two-tier traces stay
-  /// bit-identical — and middle tier t forks stream 10 + t.
+  /// RNG streams: the home device forks stream 1, tier 0 forks stream 2
+  /// and middle tier t forks stream 10 + t.
   TierHierarchy(Simulator& sim, const std::string& base_name,
                 std::vector<TierSpec> specs, Rng rng);
 
@@ -65,10 +65,10 @@ class TierHierarchy {
   std::size_t pool_corrupt_count() const;
 
   /// Wires every device (silent at wiring time) and tier 0's pool (emits
-  /// kCacheInit) into `trace`. With `emit_tier_events` set, also emits one
-  /// kTierInit per tier now, and note_promote/note_demote emit
-  /// kTierPromote/kTierDemote (detail = from << 8 | to).
-  void set_trace(TraceRecorder* trace, NodeId node, bool emit_tier_events);
+  /// kCacheInit) into `trace`. With a victim tier, also emits one kTierInit
+  /// per tier now, and note_promote/note_demote emit kTierPromote/
+  /// kTierDemote (detail = from << 8 | to).
+  void set_trace(TraceRecorder* trace, NodeId node);
 
   void note_read(std::size_t tier) { ++tiers_[tier].stats.reads; }
   void note_promote(std::size_t from, std::size_t to, BlockId block,
@@ -97,9 +97,10 @@ class TierHierarchy {
   };
 
   std::vector<Tier> tiers_;
-  TraceRecorder* trace_ = nullptr;
+  /// Where kTier* events go: the run's recorder when the stack has a
+  /// victim tier, otherwise null (see the file comment).
+  TraceRecorder* tier_trace_ = nullptr;
   NodeId node_;
-  bool emit_tier_events_ = false;
   std::uint64_t promotes_ = 0;
   std::uint64_t demotes_ = 0;
   std::uint64_t promotes_from_home_ = 0;

@@ -446,6 +446,61 @@ TEST(ControlPlane, WorkloadRidesOutAControlRackCut) {
   EXPECT_EQ(testbed.replica_model_mismatch(), "");
 }
 
+TEST(ControlPlane, MigrateBatchLandingAfterARerouteTakesNoReference) {
+  // Regression: a migrate batch sent to a node behind a rack cut keeps
+  // retrying inside the RPC envelope. The cut outlives the declare-dead
+  // point, so the master reroutes the batch's migrations to other
+  // replicas; after the heal the node rejoins, and only then does the
+  // retry land. The stale commands must not take references: no evict
+  // would ever reach them, and their locked copies would leak.
+  TestbedConfig config = routed_config(/*nodes=*/6, /*racks=*/2);
+  config.detector.suspicion_grace = Duration::seconds(4.0);
+  // A wide retry envelope: the last two attempts are 6.4 s apart, longer
+  // than the 3 s heartbeat, so the node rejoins before the late delivery.
+  config.control_plane.rpc_deadline = Duration::seconds(20.0);
+  config.control_plane.rpc_max_retries = 8;
+  config.control_plane.rpc_backoff_cap = Duration::seconds(8.0);
+  Testbed testbed(config);
+  JobSpec spec;
+  spec.name = "scan";
+  spec.inputs = {testbed.create_file("/input", 64 * 64 * kMiB)};
+  spec.eviction = EvictionMode::kExplicit;  // only evicts drop references
+
+  const NodeId cut(1);  // rack 1 = nodes 1, 3, 5; control node 0 stays up
+  testbed.sim().schedule(Duration::seconds(5.0),
+                         [&] { testbed.begin_rack_partition(cut); });
+  const SimTime limit = SimTime::zero() + Duration::seconds(120.0);
+  FailureDetector* detector = testbed.failure_detector();
+  ASSERT_NE(detector, nullptr);
+  testbed.sim().run_until([&] { return detector->is_suspect(cut); }, limit);
+  ASSERT_TRUE(detector->is_suspect(cut));
+  ASSERT_TRUE(testbed.namenode().is_node_alive(cut));
+
+  // Node 1 still counts as live, so it is chosen for some blocks; those
+  // batches retry against the cut.
+  bool done = false;
+  testbed.submit_job(spec, [&](const JobRecord&) { done = true; });
+  testbed.sim().run_until(
+      [&] { return !testbed.namenode().is_node_alive(cut); }, limit);
+  ASSERT_FALSE(testbed.namenode().is_node_alive(cut));
+  EXPECT_GT(count_events(testbed, TraceEventType::kMigrationRetry), 0u)
+      << "the master rerouted the cut node's migrations";
+  testbed.sim().schedule(Duration::seconds(2.5),
+                         [&] { testbed.end_rack_partition(cut); });
+
+  testbed.run_until_jobs_done();
+  ASSERT_TRUE(done);
+  // Drain past the end of every retry envelope.
+  testbed.sim().run(testbed.sim().now() + Duration::seconds(60.0));
+  EXPECT_TRUE(testbed.namenode().is_node_alive(cut));
+  for (std::int64_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(testbed.datanode(NodeId(i)).cache().used(), 0) << "node " << i;
+  }
+  EXPECT_TRUE(testbed.invariant_checker()->ok())
+      << testbed.invariant_checker()->report();
+  EXPECT_EQ(testbed.replica_model_mismatch(), "");
+}
+
 TEST(ControlPlane, RackCutSeversAnInFlightTransferThroughTheFaultSurface) {
   // The fault-plane integration: begin_rack_partition itself must abort
   // running flows that now cross the cut, with the refund recorded.

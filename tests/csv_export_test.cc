@@ -48,17 +48,6 @@ RunMetrics sample_metrics() {
   sample.when = SimTime(5'000'000);
   sample.locked_bytes = 42;
   metrics.add_memory_sample(sample);
-
-  TierSample tier;
-  tier.node = NodeId(1);
-  tier.when = SimTime(6'000'000);
-  tier.tier = 0;
-  tier.used = 50;
-  tier.capacity = 200;
-  tier.reads = 9;
-  tier.promotes_in = 4;
-  tier.demotes_in = 2;
-  metrics.add_tier_sample(tier);
   return metrics;
 }
 
@@ -134,17 +123,6 @@ TEST(RunMetricsTest, MemoryLogKeepsOnlyNonZeroSamples) {
   EXPECT_NE(out.find("1,1,7\n1,4,3\n2,5,9\n"), std::string::npos);
 }
 
-TEST(CsvExport, TierSamples) {
-  std::ostringstream os;
-  write_tier_samples_csv(sample_metrics(), os);
-  const std::string out = os.str();
-  EXPECT_EQ(line_count(out), 2u);
-  EXPECT_NE(out.find("node,when_s,tier,used_bytes,capacity_bytes,occupancy,"
-                     "reads,promotes_in,demotes_in"),
-            std::string::npos);
-  EXPECT_NE(out.find("1,6,0,50,200,0.25,9,4,2"), std::string::npos);
-}
-
 TEST(CsvExport, IntegritySummary) {
   IntegrityStats integrity;
   integrity.disk_corrupt_detected = 3;
@@ -200,8 +178,7 @@ TEST(CsvExport, EmptyMetricsWriteHeadersOnly) {
   write_tasks_csv(empty, os);
   write_jobs_csv(empty, os);
   write_memory_samples_csv(empty, os);
-  write_tier_samples_csv(empty, os);
-  EXPECT_EQ(line_count(os.str()), 5u);
+  EXPECT_EQ(line_count(os.str()), 4u);
 }
 
 TEST(CsvExport, EscapePassesPlainFieldsThrough) {

@@ -226,6 +226,50 @@ TEST(Integrity, CorruptCachedCopyIsPurgedAndReadFallsBackToCleanDisk) {
   expect_clean(testbed);
 }
 
+TEST(Integrity, ScrubberFindsACorruptLockedCopyInTheDefaultLayout) {
+  // The default two-tier layout: the scrubber's pass over a stored replica
+  // also checksums the tier-0 locked copy, so rot in memory is found and
+  // purged before any reader trips over it.
+  TestbedConfig config = ignem_config(/*replication=*/1);
+  config.integrity.enable_scrubber = true;
+  config.integrity.scrub_interval = Duration::seconds(1);
+  Testbed testbed(config);
+  const FileId file = testbed.create_file("/input", 64 * kMiB);
+  const BlockId block = testbed.namenode().file(file).blocks[0];
+  const NodeId holder = testbed.namenode().block(block).replicas[0];
+  ASSERT_EQ(testbed.datanode(holder).tiers().tier_count(), 2u);
+  IgnemSlave* slave = testbed.ignem_slave(holder);
+  ASSERT_NE(slave, nullptr);
+
+  PendingMigration command;
+  command.block = block;
+  command.bytes = 64 * kMiB;
+  command.job = JobId(1);
+  command.job_input_bytes = 64 * kMiB;
+  command.eviction = EvictionMode::kExplicit;
+  slave->handle_migrate_batch({command});
+  testbed.sim().run(SimTime::zero() + Duration::seconds(30));
+  ASSERT_TRUE(slave->holds(block));
+  testbed.corrupt_cached_replica(holder, block);
+
+  // No reader: only the scrubber can find the rotten copy.
+  testbed.sim().run(testbed.sim().now() + Duration::seconds(30));
+
+  EXPECT_EQ(testbed.integrity_manager().stats().cache_corrupt_detected, 1u);
+  EXPECT_EQ(testbed.integrity_manager().stats().cache_copies_purged, 1u);
+  EXPECT_EQ(count_events_detail(
+                testbed, TraceEventType::kCorruptionDetected,
+                static_cast<std::int64_t>(CorruptionSource::kScrub)),
+            1u);
+  EXPECT_EQ(count_events(testbed, TraceEventType::kBlockReadCorrupt), 0u);
+  EXPECT_FALSE(slave->holds(block));
+  EXPECT_FALSE(testbed.datanode(holder).cache().contains(block));
+  // The stored replica was clean all along.
+  EXPECT_EQ(testbed.integrity_manager().stats().disk_corrupt_detected, 0u);
+  EXPECT_EQ(testbed.scrubber()->stats().corrupt_found, 0u);
+  expect_clean(testbed);
+}
+
 TEST(Integrity, MigrationVerifiesSourceAndAbortsOnRottenReplica) {
   Testbed testbed(ignem_config(/*replication=*/1));
   const FileId file = testbed.create_file("/input", 64 * kMiB);
@@ -432,8 +476,8 @@ TEST(WriteChecksum, FreshlyWrittenBlockVerifiesClean) {
   // the content-addressed checksum, so a fresh write verifies clean, rot
   // flips exactly that replica, and a repair re-write is clean again.
   Simulator sim;
-  DataNode dn(sim, NodeId(0), profile_for(MediaType::kHdd), 1 * kGiB,
-              Rng(7));
+  DataNode dn(sim, NodeId(0),
+              two_tier_specs(profile_for(MediaType::kHdd), 1 * kGiB), Rng(7));
   dn.add_block(BlockId(1), 64 * kMiB);
   EXPECT_FALSE(dn.is_corrupt(BlockId(1)));
   EXPECT_EQ(dn.stored_checksum(BlockId(1)),

@@ -16,10 +16,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "bench/sweep_runner.h"
 #include "common/check.h"
@@ -204,17 +207,57 @@ TEST(ReportFormat, JsonQuoteEscapes) {
 
 TEST(Fingerprint, HashFollowsCanonicalText) {
   ConfigFingerprint a;
-  a.seed = 42;
-  a.nodes = 8;
+  a.add_int("seed", 42);
+  a.add_int("nodes", 8);
+  a.add_string("storage_media", "hdd");
   ConfigFingerprint b = a;
   EXPECT_EQ(a.canonical(), b.canonical());
   EXPECT_EQ(a.hash(), b.hash());
-  b.seed = 43;
+  b.fields[0].json = "43";
   EXPECT_NE(a.canonical(), b.canonical());
   EXPECT_NE(a.hash(), b.hash());
-  // The canonical form names every identity-bearing knob.
-  EXPECT_NE(a.canonical().find("seed=42"), std::string::npos);
-  EXPECT_NE(a.canonical().find("nodes=8"), std::string::npos);
+  // The canonical form walks the fields in order.
+  EXPECT_EQ(a.canonical(), "seed=42 nodes=8 storage_media=\"hdd\"");
+  // The JSON walks the same list, then appends the hash.
+  std::ostringstream os;
+  a.write_json(os, 0);
+  const std::string json = os.str();
+  EXPECT_LT(json.find("\"seed\": 42"), json.find("\"nodes\": 8"));
+  EXPECT_LT(json.find("\"nodes\": 8"),
+            json.find("\"storage_media\": \"hdd\""));
+  EXPECT_NE(json.find("\"hash\": \"0x"), std::string::npos);
+}
+
+TEST(Fingerprint, EveryIdentityKnobMovesTheHash) {
+  TestbedConfig base;
+  base.cluster.node_count = 4;
+  base.seed = 42;
+  const ConfigFingerprint reference = Testbed(base).fingerprint();
+  const std::vector<
+      std::pair<std::string, std::function<void(TestbedConfig&)>>>
+      flips = {
+          {"rack_count", [](TestbedConfig& c) { c.rack_count = 2; }},
+          {"control_plane.routed",
+           [](TestbedConfig& c) { c.control_plane.routed = true; }},
+          {"control_plane.sever_transfers",
+           [](TestbedConfig& c) { c.control_plane.sever_transfers = true; }},
+          {"replication_rate_limit",
+           [](TestbedConfig& c) { c.replication_rate_limit = 200.0 * kMiB; }},
+          {"detector.suspicion_grace",
+           [](TestbedConfig& c) {
+             c.detector.suspicion_grace = Duration::seconds(4.0);
+           }},
+          {"block_size", [](TestbedConfig& c) { c.block_size = 128 * kMiB; }},
+          {"cache_capacity_per_node",
+           [](TestbedConfig& c) { c.cache_capacity_per_node = 8 * kGiB; }},
+      };
+  for (const auto& [key, flip] : flips) {
+    EXPECT_NE(reference.canonical().find(key + "="), std::string::npos)
+        << key << " missing from the fingerprint";
+    TestbedConfig config = base;
+    flip(config);
+    EXPECT_NE(Testbed(config).fingerprint().hash(), reference.hash()) << key;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -464,6 +464,46 @@ TEST(Rejoin, ThrottledRecoveryAlsoEndsBalanced) {
   }
 }
 
+TEST(Rejoin, DelayedRepairNeverReadsFromASourceDeclaredDeadMeanwhile) {
+  // Regression: a repair throttled by the limiter starts long after its
+  // source was chosen. The source goes silent in between and is declared
+  // dead though its process is up; the late copy must not read from a
+  // replica the namespace no longer lists.
+  TestbedConfig config = partition_config();
+  config.replication = 2;
+  config.replication_rate_limit = mib_per_sec(1);
+  config.replication_burst = 1 * kMiB;  // the second 64 MiB copy waits
+  Testbed testbed(config);
+  const FileId file = testbed.create_file("/input", 64 * kMiB);
+  const BlockId block = testbed.namenode().file(file).blocks[0];
+  Simulator& sim = testbed.sim();
+
+  // The first loss is repaired at once, spending the limiter's budget.
+  testbed.fail_node(testbed.namenode().live_locations(block)[0]);
+  sim.run(SimTime::zero() + Duration::seconds(40));
+  const std::vector<NodeId> live = testbed.namenode().live_locations(block);
+  ASSERT_EQ(live.size(), 2u);
+  ASSERT_EQ(testbed.replication_manager().stats().blocks_repaired, 1u);
+
+  // The second loss queues a throttled repair sourced from the survivor,
+  // which falls silent and is declared dead before the copy may start.
+  const NodeId survivor = live[1];
+  testbed.fail_node(live[0]);
+  sim.schedule(Duration::seconds(15),
+               [&] { testbed.begin_heartbeat_delay(survivor); });
+  sim.schedule(Duration::seconds(200),
+               [&] { testbed.end_heartbeat_delay(survivor); });
+  sim.run(SimTime::zero() + Duration::seconds(100));
+  ASSERT_FALSE(testbed.namenode().is_node_alive(survivor));
+  ASSERT_GT(testbed.replication_manager().stats().repairs_throttled, 0u);
+  sim.run(SimTime::zero() + Duration::seconds(400));
+
+  EXPECT_TRUE(testbed.namenode().is_node_alive(survivor));
+  EXPECT_TRUE(testbed.invariant_checker()->ok())
+      << testbed.invariant_checker()->report();
+  EXPECT_EQ(testbed.replica_model_mismatch(), "");
+}
+
 TEST(RackAwareRepair, RepairRestoresOffRackRedundancy) {
   TestbedConfig config = partition_config(/*nodes=*/6);
   config.rack_count = 2;
@@ -503,7 +543,7 @@ void check_placement_spreads(int racks, std::uint64_t seed) {
   std::vector<std::unique_ptr<DataNode>> datanodes;
   for (int i = 0; i < nodes; ++i) {
     datanodes.push_back(std::make_unique<DataNode>(
-        sim, NodeId(i), hdd_profile(), 16 * kGiB,
+        sim, NodeId(i), two_tier_specs(hdd_profile(), 16 * kGiB),
         Rng(100 + static_cast<std::uint64_t>(i))));
     namenode.register_datanode(datanodes.back().get());
   }
