@@ -239,7 +239,8 @@ std::string Testbed::replica_model_mismatch() const {
     }
   }
   for (const auto& [block_id, nodes] : model->blocks()) {
-    if (!namenode_->all_blocks().contains(block_id)) {
+    if (static_cast<std::size_t>(block_id.value()) >=
+        namenode_->block_count()) {
       out << "trace has replicas for block " << block_id.value()
           << " unknown to the NameNode";
       return out.str();
@@ -861,12 +862,24 @@ RunReport Testbed::build_run_report(const std::string& name) {
   }
 
   std::uint64_t promotes = 0, demotes = 0, drops = 0, from_home = 0;
+  std::vector<TierStats> pools(datanodes_.front()->tiers().home_tier());
   for (const auto& dn : datanodes_) {
     const TierHierarchy& tiers = dn->tiers();
     promotes += tiers.total_promotes();
     demotes += tiers.total_demotes();
     drops += tiers.drops_to_home();
     from_home += tiers.promotes_from_home();
+    for (std::size_t t = 0; t < pools.size(); ++t) {
+      pools[t].reads += tiers.stats(t).reads;
+      pools[t].promotes_in += tiers.stats(t).promotes_in;
+      pools[t].demotes_in += tiers.stats(t).demotes_in;
+    }
+  }
+  for (std::size_t t = 0; t < pools.size(); ++t) {
+    const std::string prefix = "tier.t" + std::to_string(t) + ".";
+    registry_.counter(prefix + "reads").set(pools[t].reads);
+    registry_.counter(prefix + "promotes_in").set(pools[t].promotes_in);
+    registry_.counter(prefix + "demotes_in").set(pools[t].demotes_in);
   }
   registry_.counter("tier.promotes").set(promotes);
   registry_.counter("tier.demotes").set(demotes);

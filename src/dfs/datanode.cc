@@ -51,6 +51,13 @@ void DataNode::add_block(BlockId block, Bytes size) {
   // The write path creates the replica's checksum; a re-written replica
   // (repair over an old copy) is clean again.
   const Replica fresh{block, size, expected_checksum(block, size)};
+  // Grow by an eighth rather than doubling: a node's table is resident for
+  // the whole run, and doubling just past a power of two would leave
+  // nearly half of it spare.
+  if (replicas_.size() == replicas_.capacity()) {
+    replicas_.reserve(replicas_.size() +
+                      std::max<std::size_t>(replicas_.size() / 8, 16));
+  }
   if (replicas_.empty() || replicas_.back().block < block) {
     replicas_.push_back(fresh);
   } else {

@@ -185,10 +185,16 @@ void DfsClient::attempt_read(NodeId reader, BlockId block, JobId job,
 
 std::vector<NodeId> DfsClient::preferred_locations(BlockId block) const {
   std::vector<NodeId> locations = namenode_.live_locations(block);
-  std::stable_partition(locations.begin(), locations.end(),
-                        [this, block](NodeId node) {
-                          return namenode_.datanode(node)->has_promoted_copy(block);
-                        });
+  // Promoted copies first, each group in location order. Rotating each
+  // promoted copy down to the front keeps both orders without the buffer
+  // std::stable_partition allocates; a block has only a few replicas.
+  auto front = locations.begin();
+  for (auto it = locations.begin(); it != locations.end(); ++it) {
+    if (namenode_.datanode(*it)->has_promoted_copy(block)) {
+      std::rotate(front, it, it + 1);
+      ++front;
+    }
+  }
   return locations;
 }
 

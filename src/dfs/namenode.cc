@@ -1,6 +1,7 @@
 #include "dfs/namenode.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 
@@ -105,7 +106,6 @@ std::vector<NodeId> NameNode::place_replicas(std::size_t count) {
   // live_nodes(), so placements (and every later RNG draw) do not depend
   // on how they are computed; tests/namenode_test.cc holds that scan as
   // the differential oracle.
-  IGNEM_CHECK_MSG(!live_.empty(), "no live DataNodes");
   count = std::min(count, live_.size());
   std::vector<NodeId> chosen;
   chosen.reserve(count);
@@ -150,15 +150,17 @@ std::vector<NodeId> NameNode::place_replicas(std::size_t count) {
 FileId NameNode::create_file(const std::string& path, Bytes size) {
   IGNEM_CHECK(size > 0);
   IGNEM_CHECK_MSG(!paths_.contains(path), "duplicate path: " << path);
-  const FileId id(next_file_++);
-  FileInfo info;
+  // Checked before the tables grow, so a refused file leaves no entry.
+  IGNEM_CHECK_MSG(!live_.empty(), "no live DataNodes");
+  const FileId id(static_cast<std::int64_t>(files_.size()));
+  FileInfo& info = files_.emplace_back();
   info.id = id;
   info.path = path;
   info.size = size;
   for (Bytes offset = 0; offset < size; offset += block_size_) {
     const Bytes block_bytes = std::min(block_size_, size - offset);
-    const BlockId block_id(next_block_++);
-    BlockInfo block;
+    const BlockId block_id(static_cast<std::int64_t>(blocks_.size()));
+    BlockInfo& block = blocks_.emplace_back();
     block.id = block_id;
     block.file = id;
     block.size = block_bytes;
@@ -167,7 +169,6 @@ FileId NameNode::create_file(const std::string& path, Bytes size) {
       datanode(node)->add_block(block_id, block_bytes);
     }
     info.blocks.push_back(block_id);
-    blocks_.emplace(block_id, std::move(block));
   }
   if (trace_ != nullptr) {
     trace_->emit(TraceEventType::kFileCreate, NodeId::invalid(),
@@ -175,14 +176,14 @@ FileId NameNode::create_file(const std::string& path, Bytes size) {
                  static_cast<std::int64_t>(info.blocks.size()));
   }
   paths_.emplace(path, id);
-  files_.emplace(id, std::move(info));
   return id;
 }
 
 const FileInfo& NameNode::file(FileId id) const {
-  const auto it = files_.find(id);
-  IGNEM_CHECK_MSG(it != files_.end(), "unknown file " << id.value());
-  return it->second;
+  IGNEM_CHECK_MSG(
+      id.valid() && static_cast<std::size_t>(id.value()) < files_.size(),
+      "unknown file " << id.value());
+  return files_[static_cast<std::size_t>(id.value())];
 }
 
 FileId NameNode::lookup(const std::string& path) const {
@@ -191,9 +192,14 @@ FileId NameNode::lookup(const std::string& path) const {
 }
 
 const BlockInfo& NameNode::block(BlockId id) const {
-  const auto it = blocks_.find(id);
-  IGNEM_CHECK_MSG(it != blocks_.end(), "unknown block " << id.value());
-  return it->second;
+  IGNEM_CHECK_MSG(
+      id.valid() && static_cast<std::size_t>(id.value()) < blocks_.size(),
+      "unknown block " << id.value());
+  return blocks_[static_cast<std::size_t>(id.value())];
+}
+
+BlockInfo& NameNode::block_entry(BlockId id) {
+  return const_cast<BlockInfo&>(std::as_const(*this).block(id));
 }
 
 std::vector<NodeId> NameNode::live_locations(BlockId id) const {
@@ -235,9 +241,8 @@ std::size_t NameNode::corrupt_replica_count() const {
 }
 
 void NameNode::invalidate_replica(BlockId block, NodeId node) {
-  const auto it = blocks_.find(block);
-  IGNEM_CHECK_MSG(it != blocks_.end(), "unknown block " << block.value());
-  auto& replicas = it->second.replicas;
+  BlockInfo& info = block_entry(block);
+  auto& replicas = info.replicas;
   const auto pos = std::find(replicas.begin(), replicas.end(), node);
   IGNEM_CHECK_MSG(pos != replicas.end(), "invalidating a replica node "
                                              << node.value()
@@ -252,7 +257,7 @@ void NameNode::invalidate_replica(BlockId block, NodeId node) {
   datanode(node)->remove_block(block);
   if (trace_ != nullptr) {
     trace_->emit(TraceEventType::kReplicaInvalidate, node, block,
-                 JobId::invalid(), it->second.size);
+                 JobId::invalid(), info.size);
   }
 }
 
@@ -287,16 +292,15 @@ void NameNode::set_node_alive(NodeId id, bool alive) {
 }
 
 void NameNode::add_replica(BlockId block, NodeId node) {
-  const auto it = blocks_.find(block);
-  IGNEM_CHECK_MSG(it != blocks_.end(), "unknown block " << block.value());
+  BlockInfo& info = block_entry(block);
   IGNEM_CHECK_MSG(is_node_alive(node),
                   "cannot place replica on dead node " << node.value());
-  auto& replicas = it->second.replicas;
+  auto& replicas = info.replicas;
   IGNEM_CHECK_MSG(
       std::find(replicas.begin(), replicas.end(), node) == replicas.end(),
       "node " << node.value() << " already holds block " << block.value());
   replicas.push_back(node);
-  datanode(node)->add_block(block, it->second.size);
+  datanode(node)->add_block(block, info.size);
 }
 
 Bytes NameNode::total_bytes(const std::vector<FileId>& files) const {

@@ -6,10 +6,13 @@
 // the same maps through this class's const API.
 #pragma once
 
+#include <deque>
 #include <map>
+#include <ranges>
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -115,9 +118,12 @@ class NameNode {
   /// migration requests.
   Bytes total_bytes(const std::vector<FileId>& files) const;
 
-  /// All blocks in the namespace (re-replication scans).
-  const std::unordered_map<BlockId, BlockInfo>& all_blocks() const {
-    return blocks_;
+  /// All blocks in the namespace as (BlockId, const BlockInfo&) pairs,
+  /// ascending by id (re-replication scans queue repairs in this order).
+  auto all_blocks() const {
+    return std::views::transform(blocks_, [](const BlockInfo& info) {
+      return std::pair<BlockId, const BlockInfo&>(info.id, info);
+    });
   }
 
   /// Registers a new replica of `block` on `node` (re-replication). The
@@ -139,8 +145,10 @@ class NameNode {
  private:
   /// HDFS default placement over the live-node index: O(replication ×
   /// log N) per block, drawing from rng_ exactly as a scan over the
-  /// ascending live list would (see namenode.cc).
+  /// ascending live list would (see namenode.cc). Needs a live node.
   std::vector<NodeId> place_replicas(std::size_t count);
+  /// The table entry for `id`, failing loudly on an unknown id.
+  BlockInfo& block_entry(BlockId id);
 
   Rng rng_;
   int replication_;
@@ -156,13 +164,14 @@ class NameNode {
   // per rack (index == rack), kept in step with alive_.
   std::vector<NodeId> live_;
   std::vector<std::vector<NodeId>> rack_live_;
-  std::unordered_map<FileId, FileInfo> files_;
+  // Dense tables, index == FileId / BlockId value (both are handed out
+  // from 0 in creation order). Chunked, so references stay stable while
+  // create_file appends, with no per-entry node or doubling slack.
+  std::deque<FileInfo> files_;
   std::unordered_map<std::string, FileId> paths_;
-  std::unordered_map<BlockId, BlockInfo> blocks_;
+  std::deque<BlockInfo> blocks_;
   // Ordered so repair iterates corrupt replicas deterministically.
   std::map<BlockId, std::set<NodeId>> corrupt_;
-  std::int64_t next_file_ = 0;
-  std::int64_t next_block_ = 0;
 };
 
 }  // namespace ignem

@@ -39,7 +39,8 @@ void ReplicationManager::handle_node_failure(NodeId node,
 void ReplicationManager::handle_node_rejoin(NodeId node,
                                             int target_replication) {
   target_replication_ = target_replication;
-  // Collect first, then reconcile: invalidation mutates the namespace map.
+  // Collect first (ascending, as all_blocks() iterates), then reconcile:
+  // invalidation mutates the namespace map.
   std::vector<BlockId> held;
   for (const auto& [block_id, info] : namenode_.all_blocks()) {
     if (std::find(info.replicas.begin(), info.replicas.end(), node) !=
@@ -47,7 +48,6 @@ void ReplicationManager::handle_node_rejoin(NodeId node,
       held.push_back(block_id);
     }
   }
-  std::sort(held.begin(), held.end());
   for (const BlockId block : held) {
     while (true) {
       const auto live = namenode_.live_locations(block);
@@ -299,7 +299,6 @@ void ReplicationManager::do_start_copy(BlockId block, NodeId source,
               return;
             }
             namenode_.add_replica(block, target);
-            ++stats_.blocks_repaired;
             stats_.bytes_repaired += bytes;
             if (namenode_.live_locations(block).size() <
                 static_cast<std::size_t>(target_replication_)) {
@@ -307,6 +306,7 @@ void ReplicationManager::do_start_copy(BlockId block, NodeId source,
               // keep the block in repair for another round.
               queue_.push_back(block);
             } else {
+              ++stats_.blocks_repaired;
               queued_.erase(block);
             }
             --in_flight_;

@@ -24,7 +24,9 @@ namespace ignem {
 
 struct ReplicationStats {
   std::uint64_t blocks_scheduled = 0;
-  std::uint64_t blocks_repaired = 0;
+  std::uint64_t blocks_repaired = 0;       ///< Blocks brought back to the
+                                           ///< target factor, once each
+                                           ///< however many copies it took.
   std::uint64_t blocks_unrepairable = 0;   ///< No live source or target.
   std::uint64_t corrupt_invalidated = 0;   ///< Corrupt replicas deleted.
   std::uint64_t repairs_throttled = 0;     ///< Copies delayed by the limiter.
@@ -33,7 +35,8 @@ struct ReplicationStats {
   std::uint64_t repairs_discarded = 0;     ///< In-flight copies dropped at
                                            ///< commit: a rejoin already
                                            ///< restored the factor.
-  Bytes bytes_repaired = 0;                ///< Total re-replication traffic.
+  Bytes bytes_repaired = 0;                ///< Total re-replication traffic
+                                           ///< (every copy).
 };
 
 class ReplicationManager {

@@ -79,6 +79,7 @@ void JobRunner::request_map(std::size_t index) {
     launch_map(index, grant);
   };
   request.on_lost = [this, index] {
+    if (finished_) return;
     ++map_epoch_[index];
     request_map(index);
   };
@@ -93,12 +94,12 @@ void JobRunner::launch_map(std::size_t index, const ContainerGrant& grant) {
 
   sim_.schedule(spec_.compute.task_overhead, [this, index, grant, node, start,
                                               epoch] {
-    if (epoch != map_epoch_[index]) return;
+    if (map_attempt_stale(index, epoch)) return;
     const MapTask& task = maps_[index];
     dfs_.read_block(
         node, task.block, id_,
         [this, index, grant, node, start, epoch](const BlockReadRecord& read) {
-          if (epoch != map_epoch_[index]) return;
+          if (map_attempt_stale(index, epoch)) return;
           if (read.failed) {
             // Terminal read error: the input is unreadable everywhere (all
             // replicas lost or corrupt) and the deadline ran out. Fail the
@@ -117,7 +118,7 @@ void JobRunner::launch_map(std::size_t index, const ContainerGrant& grant) {
               Duration::seconds(spec_.compute.map_cpu_secs_per_mib * mib_in);
           sim_.schedule(compute, [this, index, grant, node, start, epoch,
                                   read] {
-            if (epoch != map_epoch_[index]) return;
+            if (map_attempt_stale(index, epoch)) return;
             const MapTask& task = maps_[index];
             map_output_nodes_[node] += task.bytes;
             if (metrics_ != nullptr) {
@@ -137,6 +138,11 @@ void JobRunner::launch_map(std::size_t index, const ContainerGrant& grant) {
           });
         });
   });
+}
+
+bool JobRunner::map_attempt_stale(std::size_t index, int epoch) const {
+  // finished_ first: complete() frees map_epoch_.
+  return finished_ || epoch != map_epoch_[index];
 }
 
 void JobRunner::on_map_done() {
@@ -314,6 +320,12 @@ void JobRunner::complete() {
   IGNEM_CHECK(!finished_);
   finished_ = true;
   rm_.complete_job(id_);
+  // Runners outlive their jobs, so free the per-map state now; stale map
+  // continuations check finished_ before touching it. Move-assign, as
+  // `= {}` would keep the capacity.
+  maps_ = std::vector<MapTask>();
+  map_epoch_ = std::vector<int>();
+  map_output_nodes_.clear();
 
   // The job submitter's completion hook: drop this job's references so the
   // slaves can release migration memory (§III-A4).

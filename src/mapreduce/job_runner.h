@@ -52,6 +52,9 @@ class JobRunner {
   void enter_scheduler();
   void request_map(std::size_t index);
   void launch_map(std::size_t index, const ContainerGrant& grant);
+  /// True when a map continuation of attempt `epoch` must drop out: the
+  /// attempt was superseded, or the job already completed.
+  bool map_attempt_stale(std::size_t index, int epoch) const;
   void on_map_done();
   void start_reduce_stage();
   void request_reduce(std::size_t index);
@@ -91,6 +94,7 @@ class JobRunner {
   // Attempt epochs: bumped when a task's container is lost to a node
   // failure. In-flight continuations of the old attempt compare their
   // captured epoch and drop out, so a task never completes twice.
+  // complete() frees maps_, map_output_nodes_ and map_epoch_.
   std::vector<int> map_epoch_;
   std::vector<int> reduce_epoch_;
   Bytes input_bytes_ = 0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -177,6 +179,14 @@ struct ProfileCase {
   double degradation;
   int transfers;
 };
+
+// Prints a case as a name token: ctest names a parameterised test by what
+// gtest prints for its parameter, and gtest's fallback prints raw bytes,
+// padding included.
+void PrintTo(const ProfileCase& c, std::ostream* os) {
+  *os << "mib" << c.seq_mib << "_deg" << std::lround(c.degradation * 100)
+      << "pct_" << c.transfers << "xfers";
+}
 
 class BandwidthPropertyTest : public ::testing::TestWithParam<ProfileCase> {};
 

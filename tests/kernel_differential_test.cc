@@ -8,7 +8,9 @@
 // 10k mixed operations per seed, 20 seeds each.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -251,4 +253,18 @@ INSTANTIATE_TEST_SUITE_P(Profiles, BandwidthDifferential,
                                            ragged_profile()));
 
 }  // namespace
+
+// Prints a profile as a name token: ctest names a parameterised test by
+// what gtest prints for its parameter, and gtest's fallback prints raw
+// bytes. Found by ADL, so it lives in BandwidthProfile's namespace.
+void PrintTo(const BandwidthProfile& p, std::ostream* os) {
+  *os << "bw" << static_cast<std::int64_t>(p.sequential_bw) << "_deg"
+      << std::lround(p.degradation * 100) << "pct_cap";
+  if (std::isinf(p.per_stream_cap)) {
+    *os << "none";
+  } else {
+    *os << static_cast<std::int64_t>(p.per_stream_cap);
+  }
+}
+
 }  // namespace ignem

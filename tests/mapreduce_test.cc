@@ -162,5 +162,59 @@ TEST(JobRunner, HdfsModeClearsUseIgnem) {
   testbed.run_until_jobs_done();
 }
 
+// A map attempt on a node the RM declares dead is superseded, but its read
+// keeps running on the (still alive, slowed) DataNode. The retry finishes
+// the job first, and complete() frees the per-map state: the stale
+// continuation that fires afterwards, and any node loss after completion,
+// must touch none of it.
+TEST(JobRunner, StaleMapContinuationAfterCompletionIsANoOp) {
+  TestbedConfig config = small_config();
+  config.cluster.enable_failure_detection = true;
+  config.enable_trace = true;
+  Testbed testbed(config);
+  JobSpec spec = map_only_spec(testbed, "/in", 64 * kMiB);
+  const BlockId block = testbed.namenode().file(spec.inputs[0]).blocks[0];
+  JobRunner* job = testbed.submit_job(spec, nullptr);
+  ResourceManager& rm = testbed.resource_manager();
+  Simulator& sim = testbed.sim();
+  const SimTime limit = SimTime::zero() + Duration::seconds(3600.0);
+
+  sim.run_until([&] { return rm.active_containers() == 1; }, limit);
+  NodeId first;
+  for (const TraceEvent& event : testbed.trace()->events()) {
+    if (event.type == TraceEventType::kContainerAllocate) first = event.node;
+  }
+  ASSERT_TRUE(first.valid());
+  ASSERT_TRUE(testbed.datanode(first).has_block(block));
+  // The first attempt's local read crawls behind 16 disk hogs, and its
+  // NodeManager falls silent, so the RM fires on_lost and the map retries
+  // elsewhere while the read is still in flight.
+  testbed.begin_disk_fail_slow(first, 16.0);
+  testbed.begin_heartbeat_delay(first);
+
+  sim.run_until([&] { return job->finished(); }, limit);
+  ASSERT_TRUE(job->finished());
+  EXPECT_FALSE(job->failed());
+  EXPECT_TRUE(rm.is_node_marked_dead(first));
+  EXPECT_EQ(testbed.dfs().stats().reads_completed, 1u);  // stale read pending
+  ASSERT_EQ(testbed.metrics().tasks().size(), 1u);
+  const NodeId retry = testbed.metrics().tasks()[0].node;
+  EXPECT_NE(retry, first);
+
+  // The stale read lands after complete(): a no-op.
+  testbed.end_disk_fail_slow(first);
+  sim.run_until([&] { return testbed.dfs().stats().reads_completed == 2; },
+                limit);
+  EXPECT_EQ(testbed.dfs().stats().reads_completed, 2u);
+  // Losing the retry's node after completion re-requests nothing.
+  testbed.begin_heartbeat_delay(retry);
+  sim.run(sim.now() + Duration::seconds(30.0));
+  EXPECT_TRUE(rm.is_node_marked_dead(retry));
+  EXPECT_EQ(rm.pending_requests(), 0u);
+  EXPECT_EQ(rm.active_containers(), 0u);
+  EXPECT_EQ(testbed.metrics().tasks().size(), 1u);
+  EXPECT_EQ(testbed.metrics().jobs().size(), 1u);
+}
+
 }  // namespace
 }  // namespace ignem

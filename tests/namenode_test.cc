@@ -190,6 +190,19 @@ TEST_F(NameNodeTest, RejectsUnknownIds) {
   EXPECT_THROW(namenode_->file(FileId(99)), CheckFailure);
   EXPECT_THROW(namenode_->block(BlockId(99)), CheckFailure);
   EXPECT_THROW(namenode_->create_file("/zero", 0), CheckFailure);
+  // The tables are dense: one past the last id and the invalid id fail too.
+  const FileId a = namenode_->create_file("/a", 64 * kMiB);
+  EXPECT_THROW(namenode_->file(FileId(a.value() + 1)), CheckFailure);
+  EXPECT_THROW(namenode_->file(FileId::invalid()), CheckFailure);
+  EXPECT_THROW(namenode_->block(BlockId(1)), CheckFailure);
+  EXPECT_THROW(namenode_->block(BlockId::invalid()), CheckFailure);
+  // A file refused for want of live nodes leaves no table entry behind.
+  namenode_->set_node_alive(NodeId(0), false);
+  namenode_->set_node_alive(NodeId(1), false);
+  EXPECT_THROW(namenode_->create_file("/b", 64 * kMiB), CheckFailure);
+  EXPECT_EQ(namenode_->file_count(), 1u);
+  EXPECT_EQ(namenode_->block_count(), 1u);
+  EXPECT_EQ(namenode_->all_blocks().size(), 1u);
 }
 
 TEST_F(NameNodeTest, AddReplicaOfOlderBlockKeepsNodeTableSorted) {

@@ -126,6 +126,12 @@ TEST_F(ReplicationManagerTest, UnrepairableBlocksDoNotStallOtherRepairs) {
   const std::vector<NodeId> holders = namenode_->block(lost).replicas;
   ASSERT_EQ(holders.size(), 2u);
   const FileId b = namenode_->create_file("/b", 640 * kMiB);  // 10 blocks
+  // Both processes die before either is declared dead, so no repair can
+  // read from the second holder in between, whatever order the repairs
+  // queue in.
+  for (const NodeId holder : holders) {
+    datanodes_[static_cast<std::size_t>(holder.value())]->fail();
+  }
   manager_->handle_node_failure(holders[0], replication_);
   manager_->handle_node_failure(holders[1], replication_);
   sim_.run();
@@ -143,6 +149,26 @@ TEST_F(ReplicationManagerTest, UnrepairableBlocksDoNotStallOtherRepairs) {
   EXPECT_EQ(manager_->stats().blocks_repaired +
                 manager_->stats().blocks_unrepairable,
             manager_->stats().blocks_scheduled);
+}
+
+TEST_F(ReplicationManagerTest, BlockShortByTwoCopiesCountsOnceAsRepaired) {
+  build(6, 3);
+  const FileId file = namenode_->create_file("/a", 64 * kMiB);
+  const BlockId block = namenode_->file(file).blocks[0];
+  const std::vector<NodeId> holders = namenode_->block(block).replicas;
+  ASSERT_EQ(holders.size(), 3u);
+  // The first declaration starts a copy, possibly from the second holder;
+  // the second declaration finds the block already queued. The copy lands
+  // one short, so the block takes a second round.
+  manager_->handle_node_failure(holders[0], replication_);
+  manager_->handle_node_failure(holders[1], replication_);
+  sim_.run();
+  EXPECT_EQ(live_replicas(block), 3u);
+  const ReplicationStats& stats = manager_->stats();
+  EXPECT_EQ(stats.blocks_scheduled, 1u);
+  EXPECT_EQ(stats.blocks_repaired, 1u);
+  EXPECT_EQ(stats.blocks_unrepairable, 0u);
+  EXPECT_EQ(stats.bytes_repaired, 2 * 64 * kMiB);
 }
 
 TEST_F(ReplicationManagerTest, AddReplicaValidations) {

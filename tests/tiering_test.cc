@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -509,6 +510,34 @@ TEST(TieredTestbedTest, ThreeTierIgnemRunPromotesAndDemotes) {
   }
   EXPECT_GT(promotes, 0u);
   EXPECT_GT(demotes, 0u);
+
+  // The report carries each pool tier's TierStats, summed over nodes.
+  testbed.build_run_report("three_tier");
+  const auto& counters = testbed.metrics_registry().counters();
+  for (std::size_t t = 0; t < 2; ++t) {
+    const std::string prefix = "tier.t" + std::to_string(t) + ".";
+    TierStats sum;
+    for (std::size_t n = 0; n < config.cluster.node_count; ++n) {
+      const TierStats& stats =
+          testbed.datanode(NodeId(static_cast<std::int64_t>(n)))
+              .tiers()
+              .stats(t);
+      sum.reads += stats.reads;
+      sum.promotes_in += stats.promotes_in;
+      sum.demotes_in += stats.demotes_in;
+    }
+    EXPECT_EQ(counters.at(prefix + "reads").value(), sum.reads) << prefix;
+    EXPECT_EQ(counters.at(prefix + "promotes_in").value(), sum.promotes_in)
+        << prefix;
+    EXPECT_EQ(counters.at(prefix + "demotes_in").value(), sum.demotes_in)
+        << prefix;
+  }
+  EXPECT_FALSE(counters.contains("tier.t2.reads"));  // the home tier
+  EXPECT_GT(counters.at("tier.t0.reads").value(), 0u);
+  EXPECT_GT(counters.at("tier.t1.demotes_in").value(), 0u);
+  EXPECT_EQ(counters.at("tier.t0.promotes_in").value() +
+                counters.at("tier.t1.promotes_in").value(),
+            counters.at("tier.promotes").value());
 
   std::size_t tier_events = 0;
   for (const TraceEvent& event : testbed.trace()->events()) {
